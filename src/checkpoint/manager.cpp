@@ -205,8 +205,9 @@ void CheckpointManager::shipDelta(PeInstance* pe, PeState state,
   const std::uint64_t fullBytes = state.sizeBytes();
   const std::uint64_t bytes = delta.sizeBytes();
   const std::uint64_t elements = delta.sizeElements(params_.bytesPerElement);
-  // Dirty chunks are known from the keyed runtime's write tracking, so the
-  // serialization CPU cost scales with the delta, not the full state.
+  // The simulated serialization CPU cost scales with the delta, not the full
+  // state: it models a keyed runtime that knows its dirty chunks from write
+  // tracking. The simulator itself finds them by diffing the whole blob.
   const double serializeWork =
       params_.serializeWorkUsPerKb * static_cast<double>(bytes) / 1024.0;
   Machine& machine = subjob_.machine();
@@ -256,7 +257,7 @@ void CheckpointManager::shipDelta(PeInstance* pe, PeState state,
                     params_.confirmBytes, 0,
                     [this, pe, state = std::move(state), bytes, elements,
                      srcMachine, acks, startedAt, token, covered, barrier,
-                     ackEpoch, done = std::move(done)] {
+                     ackEpoch, done = std::move(done)]() mutable {
                       stats_.checkpoints += 1;
                       stats_.bytes += bytes;
                       stats_.elements += elements;
@@ -270,9 +271,14 @@ void CheckpointManager::shipDelta(PeInstance* pe, PeState state,
                       // is encoded against. Advance even on a stale attempt
                       // token: a late confirm still proves the store holds
                       // this version, which is what un-sticks a shadow that
-                      // fell behind after a timeout abandonment.
+                      // fell behind after a timeout abandonment. The state
+                      // moves into the shadow: every copy of this closure
+                      // (an injected duplicate copies it) owns its own
+                      // state, and each copy is invoked at most once.
                       PeState& shadow = delta_base_[state.pe];
-                      if (shadow.version < state.version) shadow = state;
+                      if (shadow.version < state.version) {
+                        shadow = std::move(state);
+                      }
                       auto it = in_progress_.find(pe);
                       if (it != in_progress_.end() && it->second == token) {
                         in_progress_.erase(it);

@@ -141,13 +141,14 @@ void StateStore::storePeDelta(SubjobId subjob, const PeStateDelta& delta,
     ++telemetry_.baseMisses;
     return;
   }
-  PeState next = delta.baseVersion == 0
-                     ? applyDelta(PeState{}, delta)
-                     : applyDelta(it->second, delta);
+  PeState& stored = slot.pes[delta.pe];
+  // A full delta (empty base) applies to the empty state, not to whatever
+  // older, possibly larger, state the slot holds.
+  if (delta.baseVersion == 0) stored = PeState{};
+  applyDeltaInPlace(stored, delta);
   ++slot.version;
-  slot.pes[delta.pe] = next;
   ++telemetry_.deltaApplies;
-  applyToReplica(subjob, next);
+  applyToReplica(subjob, stored);
   logApply(subjob, delta);
   auto wrapped = [onConfirm = std::move(onConfirm)] {
     if (onConfirm) onConfirm(true);

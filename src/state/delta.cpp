@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
+#include <iterator>
 
 namespace streamha {
 
@@ -10,6 +12,58 @@ namespace {
 // watermark maps' fixed footprint.
 constexpr std::uint64_t kDeltaHeaderBytes = 64;
 constexpr std::uint64_t kChunkHeaderBytes = 8;  // index + length on the wire.
+// encodeDelta compares this many chunks at once before diffing them singly.
+constexpr std::size_t kDiffBlockChunks = 16;
+
+// Merges `newer` into `older`, both sorted by chunk index: at an index both
+// hold, the newer chunk wins. Chunks are moved, never copied; `newer` is left
+// with moved-from chunks. Returns how many older chunks were superseded.
+std::uint64_t mergeNewestWins(std::vector<DeltaChunk>& older,
+                              std::vector<DeltaChunk>& newer) {
+  const auto byIndex = [](const DeltaChunk& chunk, std::uint32_t index) {
+    return chunk.index < index;
+  };
+  // Common case: `older` already holds every index `newer` touches (a
+  // full-coverage run), so the merge overwrites in place instead of building
+  // a second chunk array as long as the whole state.
+  bool covered = true;
+  auto pos = older.begin();
+  for (const DeltaChunk& chunk : newer) {
+    pos = std::lower_bound(pos, older.end(), chunk.index, byIndex);
+    if (pos == older.end() || pos->index != chunk.index) {
+      covered = false;
+      break;
+    }
+  }
+  if (covered) {
+    pos = older.begin();
+    for (DeltaChunk& chunk : newer) {
+      pos = std::lower_bound(pos, older.end(), chunk.index, byIndex);
+      pos->bytes = std::move(chunk.bytes);
+    }
+    return newer.size();
+  }
+  std::vector<DeltaChunk> merged;
+  merged.reserve(older.size() + newer.size());
+  std::uint64_t superseded = 0;
+  auto o = older.begin();
+  auto n = newer.begin();
+  while (o != older.end() && n != newer.end()) {
+    if (o->index < n->index) {
+      merged.push_back(std::move(*o++));
+    } else {
+      if (o->index == n->index) {
+        ++o;
+        ++superseded;
+      }
+      merged.push_back(std::move(*n++));
+    }
+  }
+  std::move(o, older.end(), std::back_inserter(merged));
+  std::move(n, newer.end(), std::back_inserter(merged));
+  older = std::move(merged);
+  return superseded;
+}
 }  // namespace
 
 std::uint64_t PeStateDelta::sizeBytes() const {
@@ -48,12 +102,24 @@ PeStateDelta encodeDelta(const PeState* base, const PeState& next,
   delta.inputBacklog = next.inputBacklog;
   delta.receivedWatermark = next.receivedWatermark;
 
-  const std::size_t chunkCount =
-      (next.internal.size() + chunkBytes - 1) / chunkBytes;
+  const std::size_t size = next.internal.size();
+  const std::size_t chunkCount = (size + chunkBytes - 1) / chunkBytes;
   for (std::size_t i = 0; i < chunkCount; ++i) {
     const std::size_t begin = i * chunkBytes;
-    const std::size_t end = std::min(next.internal.size(),
-                                     begin + static_cast<std::size_t>(chunkBytes));
+    if (base != nullptr && i % kDiffBlockChunks == 0) {
+      // Most of a state is unchanged between checkpoints: one compare clears
+      // a whole block of chunks that matches the base.
+      const std::size_t blockEnd =
+          std::min(size, begin + kDiffBlockChunks * chunkBytes);
+      if (base->internal.size() >= blockEnd &&
+          std::memcmp(next.internal.data() + begin,
+                      base->internal.data() + begin, blockEnd - begin) == 0) {
+        i += kDiffBlockChunks - 1;
+        continue;
+      }
+    }
+    const std::size_t end =
+        std::min(size, begin + static_cast<std::size_t>(chunkBytes));
     bool changed = true;
     if (base != nullptr) {
       // A chunk is unchanged when the base covers the same byte range with
@@ -74,22 +140,26 @@ PeStateDelta encodeDelta(const PeState* base, const PeState& next,
   return delta;
 }
 
-PeState applyDelta(const PeState& base, const PeStateDelta& delta) {
-  PeState next = base;
-  next.pe = delta.pe;
-  next.version = delta.version;
-  next.internal.resize(delta.internalSize);
+void applyDeltaInPlace(PeState& state, const PeStateDelta& delta) {
+  state.pe = delta.pe;
+  state.version = delta.version;
+  state.internal.resize(delta.internalSize);
   for (const auto& chunk : delta.chunks) {
     const std::size_t begin =
         static_cast<std::size_t>(chunk.index) * delta.chunkBytes;
-    assert(begin + chunk.bytes.size() <= next.internal.size());
+    assert(begin + chunk.bytes.size() <= state.internal.size());
     std::copy(chunk.bytes.begin(), chunk.bytes.end(),
-              next.internal.begin() + begin);
+              state.internal.begin() + begin);
   }
-  next.processedWatermark = delta.processedWatermark;
-  next.ports = delta.ports;
-  next.inputBacklog = delta.inputBacklog;
-  next.receivedWatermark = delta.receivedWatermark;
+  state.processedWatermark = delta.processedWatermark;
+  state.ports = delta.ports;
+  state.inputBacklog = delta.inputBacklog;
+  state.receivedWatermark = delta.receivedWatermark;
+}
+
+PeState applyDelta(const PeState& base, const PeStateDelta& delta) {
+  PeState next = base;
+  applyDeltaInPlace(next, delta);
   return next;
 }
 
@@ -125,36 +195,25 @@ CompactionResult DeltaLog::compact(std::vector<std::uint64_t>* freed) {
   result.runsMerged = runs_.size();
   for (const auto& run : runs_) result.bytesIn += run.bytes();
 
-  // K-way merge, newest version wins per chunk index. Runs are kept in
-  // ascending version order, so a later run's chunk supersedes an earlier
-  // run's chunk at the same index. std::map iteration gives ascending chunk
-  // index, keeping the merged run deterministic.
-  std::map<std::uint32_t, const DeltaChunk*> newest;
-  for (const auto& run : runs_) {
-    for (const auto& chunk : run.chunks) {
-      auto [it, inserted] = newest.try_emplace(chunk.index, &chunk);
-      if (!inserted) {
-        ++result.chunksDropped;
-        it->second = &chunk;
-      }
-    }
+  // Newest version wins per chunk index. Runs are kept in ascending version
+  // order and each is index-sorted, so linear merges suffice: fold the newer
+  // runs (a few chunks each) together first, then fold them once into the
+  // oldest run, which after the first compaction covers the whole state.
+  std::vector<DeltaChunk> newer = std::move(runs_[1].chunks);
+  for (std::size_t i = 2; i < runs_.size(); ++i) {
+    result.chunksDropped += mergeNewestWins(newer, runs_[i].chunks);
   }
-
-  Run merged;
-  merged.id = runs_.front().id;  // Oldest id survives; the rest are freed.
-  merged.baseVersion = runs_.front().baseVersion;
+  Run& merged = runs_.front();  // Oldest id survives; the rest are freed.
+  result.chunksDropped += mergeNewestWins(merged.chunks, newer);
   merged.version = runs_.back().version;
   merged.chunkBytes = runs_.back().chunkBytes;
   merged.internalSize = runs_.back().internalSize;
-  merged.chunks.reserve(newest.size());
-  for (const auto& [index, chunk] : newest) merged.chunks.push_back(*chunk);
 
   if (freed != nullptr) {
     for (std::size_t i = 1; i < runs_.size(); ++i) freed->push_back(runs_[i].id);
   }
+  runs_.erase(runs_.begin() + 1, runs_.end());
   result.bytesOut = merged.bytes();
-  runs_.clear();
-  runs_.push_back(std::move(merged));
   return result;
 }
 

@@ -69,8 +69,15 @@ struct PeStateDelta {
 PeStateDelta encodeDelta(const PeState* base, const PeState& next,
                          std::uint32_t chunkBytes);
 
-/// Apply `delta` to `base` in place (base.version must equal
-/// delta.baseVersion; the caller checks). Returns the new full state.
+/// Advance `state` to `delta.version` in place: resize the internal blob to
+/// `delta.internalSize` (growth is zero-filled), overwrite the shipped chunks
+/// and replace the queue/watermark bookkeeping. `state.version` must equal
+/// `delta.baseVersion`; the caller checks. A delta against the empty base
+/// (baseVersion 0) applies to a default-constructed PeState.
+void applyDeltaInPlace(PeState& state, const PeStateDelta& delta);
+
+/// Copying form of applyDeltaInPlace: returns `base` advanced by `delta` and
+/// leaves `base` untouched.
 PeState applyDelta(const PeState& base, const PeStateDelta& delta);
 
 /// Result of one compaction pass.

@@ -227,6 +227,56 @@ TEST_F(DeltaStoreFixture, DeltaShipsRefreshAttachedReplica) {
   EXPECT_EQ(store.telemetry().deltaApplies, 2u);
 }
 
+TEST_F(DeltaStoreFixture, FullDeltaOverLargerStateLeavesNoStaleTail) {
+  // A delta against the empty base (baseVersion 0) replaces whatever the slot
+  // held, even a larger older state: the stored state and the refreshed
+  // replica hold exactly the delta's bytes.
+  StateStore store(sim, *machine, deltaParams(0));
+  Network net{sim, Network::Params{}, [](MachineId) { return true; }};
+  Subjob replica(sim, *machine, 1, Replica::kSecondary);
+  PeParams params;
+  params.logicalId = 0;
+  params.outputStreams = {20};
+  auto& pe = replica.addPe(std::make_unique<PeInstance>(
+      sim, *machine, net, params, std::make_unique<KeyedStateLogic>(1.0, 256, 64)));
+  pe.input().subscribe(10);
+  replica.suspendAll();
+  store.attachReplica(1, &replica);
+
+  PeState large = keyedState(1);  // 1 KB of 0x07.
+  large.internal.back() = 0xEE;
+  store.storePeDelta(1, encodeDelta(nullptr, large, 64), nullptr);
+  ASSERT_EQ(store.latest(1).pes.at(0).internal.size(), 1024u);
+
+  // The state of a 256-byte keyed PE: 24 header bytes plus the keys.
+  KeyedStateLogic logic(1.0, 256, 64);
+  std::vector<PeLogic::Emit> out;
+  for (ElementSeq seq = 1; seq <= 5; ++seq) {
+    Element e;
+    e.seq = seq;
+    e.value = seq * 3;
+    logic.process(e, out);
+  }
+  PeState small;
+  small.pe = 0;
+  small.version = 2;
+  small.internal = logic.serialize();
+  small.processedWatermark[10] = 20;
+  ASSERT_LT(small.internal.size(), large.internal.size());
+  bool covered = false;
+  store.storePeDelta(1, encodeDelta(nullptr, small, 64),
+                     [&](bool c) { covered = c; });
+  EXPECT_TRUE(covered);
+
+  const SubjobState latest = store.latest(1);
+  const PeState& stored = latest.pes.at(0);
+  EXPECT_EQ(stored.version, 2u);
+  EXPECT_EQ(stored.internal, small.internal);
+  EXPECT_EQ(stored.processedWatermark, small.processedWatermark);
+  EXPECT_EQ(pe.peekState(false, false).internal, small.internal);
+  EXPECT_EQ(pe.watermarks().at(10), 20u);
+}
+
 TEST_F(DeltaStoreFixture, RestoreBytesPlansDeltaWhenTheLogChainsFromHave) {
   StateStore store(sim, *machine, deltaParams(0));
   shipChain(store, 3, 3);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+
 namespace streamha {
 namespace {
 
@@ -61,6 +65,70 @@ TEST(DeltaEncode, ShrinkingStateRoundtrips) {
   next.internal[5] = 0x66;
   const PeState rebuilt = applyDelta(base, encodeDelta(&base, next, 64));
   EXPECT_EQ(rebuilt.internal, next.internal);
+}
+
+TEST(DeltaEncode, MatchesPerChunkReferenceDiff) {
+  // States of many chunks with a few random edits, usually a partial last
+  // chunk, and bases shorter or longer than `next`: exactly the chunks that
+  // differ from the base, or that the base does not fully cover, ship.
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    const std::size_t size = 1000 + rng() % 5000;
+    PeState base = makeState(1, size - 200 + rng() % 400, 0x3C);
+    PeState next = makeState(2, size, 0x3C);
+    for (std::size_t edits = rng() % 20; edits > 0; --edits) {
+      next.internal[rng() % size] ^= static_cast<std::uint8_t>(1 + rng() % 255);
+    }
+    const PeStateDelta delta = encodeDelta(&base, next, 64);
+    std::vector<std::uint32_t> expected;
+    for (std::size_t begin = 0; begin < size; begin += 64) {
+      const std::size_t end = std::min(size, begin + 64);
+      if (base.internal.size() < end ||
+          !std::equal(next.internal.begin() + begin,
+                      next.internal.begin() + end,
+                      base.internal.begin() + begin)) {
+        expected.push_back(static_cast<std::uint32_t>(begin / 64));
+      }
+    }
+    std::vector<std::uint32_t> shipped;
+    for (const auto& chunk : delta.chunks) {
+      shipped.push_back(chunk.index);
+      const std::size_t begin = chunk.index * std::size_t{64};
+      EXPECT_EQ(chunk.bytes.size(), std::min<std::size_t>(64, size - begin));
+      EXPECT_TRUE(std::equal(chunk.bytes.begin(), chunk.bytes.end(),
+                             next.internal.begin() + begin));
+    }
+    EXPECT_EQ(shipped, expected);
+    EXPECT_EQ(applyDelta(base, delta).internal, next.internal);
+  }
+}
+
+TEST(DeltaEncode, ApplyInPlaceMatchesCopyingApply) {
+  // Grow, shrink, and a partial last chunk (300 = 4 * 64 + 44).
+  const PeState base = makeState(5, 300, 0x21);
+  for (const std::size_t size : {std::size_t{420}, std::size_t{100},
+                                 std::size_t{300}}) {
+    PeState next = base;
+    next.version = 6;
+    next.internal.resize(size, 0x5A);
+    next.internal[0] ^= 0xFF;
+    next.internal[size - 1] ^= 0xFF;
+    next.processedWatermark[10] = 77;
+    next.inputBacklog.resize(2);
+    const PeStateDelta delta = encodeDelta(&base, next, 64);
+    const PeState copied = applyDelta(base, delta);
+    PeState inPlace = base;
+    applyDeltaInPlace(inPlace, delta);
+    SCOPED_TRACE(size);
+    EXPECT_EQ(inPlace.pe, copied.pe);
+    EXPECT_EQ(inPlace.version, copied.version);
+    EXPECT_EQ(inPlace.internal, copied.internal);
+    EXPECT_EQ(inPlace.internal, next.internal);
+    EXPECT_EQ(inPlace.processedWatermark, copied.processedWatermark);
+    EXPECT_EQ(inPlace.inputBacklog.size(), copied.inputBacklog.size());
+    EXPECT_EQ(inPlace.receivedWatermark, copied.receivedWatermark);
+  }
 }
 
 struct DeltaLogFixture : ::testing::Test {
@@ -146,6 +214,92 @@ TEST_F(DeltaLogFixture, ShouldCompactHonorsBudget) {
   never.append(deltaAt(1));
   never.append(deltaAt(2));
   EXPECT_FALSE(never.shouldCompact());
+}
+
+// ---- compact() against a reference merge ----------------------------------
+
+// One random run list: a full-coverage run 0 over a 300-byte state (the last
+// chunk is partial), then 1-8 sparse runs with overlapping indices. In a
+// quarter of the lists the state grows, so newer runs also write chunks that
+// run 0 does not have.
+std::vector<PeStateDelta> randomRunList(std::mt19937_64& rng) {
+  constexpr std::uint32_t kChunk = 64;
+  std::vector<PeStateDelta> runs;
+  std::uint64_t size = 300;
+  const bool grows = rng() % 4 == 0;
+  const std::size_t count = 2 + rng() % 8;
+  for (std::uint64_t v = 1; v <= count; ++v) {
+    if (v > 1 && grows) size += rng() % 80;
+    PeStateDelta delta;
+    delta.pe = 0;
+    delta.version = v;
+    delta.baseVersion = v - 1;
+    delta.chunkBytes = kChunk;
+    delta.internalSize = size;
+    const std::uint32_t chunks =
+        static_cast<std::uint32_t>((size + kChunk - 1) / kChunk);
+    for (std::uint32_t i = 0; i < chunks; ++i) {
+      if (v > 1 && rng() % 2 == 0) continue;  // Sparse after run 0.
+      DeltaChunk chunk;
+      chunk.index = i;
+      const std::uint64_t len = std::min<std::uint64_t>(kChunk, size - i * kChunk);
+      for (std::uint64_t b = 0; b < len; ++b) {
+        chunk.bytes.push_back(static_cast<std::uint8_t>(rng()));
+      }
+      delta.chunks.push_back(std::move(chunk));
+    }
+    runs.push_back(std::move(delta));
+  }
+  return runs;
+}
+
+TEST(DeltaLogCompaction, MatchesReferenceNewestWinsMerge) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    const std::vector<PeStateDelta> deltas = randomRunList(rng);
+    DeltaLog log(0);
+    std::vector<std::uint64_t> ids;
+    for (const auto& delta : deltas) ids.push_back(log.append(delta));
+
+    // Reference: every chunk into a map by index, later runs overwriting.
+    std::uint64_t refBytesIn = 0;
+    for (const auto& run : log.runs()) refBytesIn += run.bytes();
+    std::map<std::uint32_t, DeltaChunk> newest;
+    std::uint64_t refDropped = 0;
+    for (const auto& delta : deltas) {
+      for (const auto& chunk : delta.chunks) {
+        if (!newest.insert_or_assign(chunk.index, chunk).second) ++refDropped;
+      }
+    }
+    PeStateDelta refDelta;
+    refDelta.version = deltas.back().version;
+    refDelta.baseVersion = deltas.front().baseVersion;
+    refDelta.chunkBytes = deltas.back().chunkBytes;
+    refDelta.internalSize = deltas.back().internalSize;
+    for (auto& [index, chunk] : newest) refDelta.chunks.push_back(chunk);
+    DeltaLog reference(0);
+    reference.append(refDelta);
+
+    std::vector<std::uint64_t> freed;
+    const CompactionResult result = log.compact(&freed);
+    EXPECT_EQ(result.runsMerged, deltas.size());
+    EXPECT_EQ(result.chunksDropped, refDropped);
+    EXPECT_EQ(result.bytesIn, refBytesIn);
+    EXPECT_EQ(result.bytesOut, reference.runs()[0].bytes());
+    ASSERT_EQ(log.runs().size(), 1u);
+    const DeltaLog::Run& merged = log.runs()[0];
+    EXPECT_EQ(merged.id, ids.front());
+    EXPECT_EQ(freed, std::vector<std::uint64_t>(ids.begin() + 1, ids.end()));
+    EXPECT_EQ(merged.version, refDelta.version);
+    EXPECT_EQ(merged.internalSize, refDelta.internalSize);
+    ASSERT_EQ(merged.chunks.size(), refDelta.chunks.size());
+    for (std::size_t i = 0; i < merged.chunks.size(); ++i) {
+      EXPECT_EQ(merged.chunks[i].index, refDelta.chunks[i].index);
+      EXPECT_EQ(merged.chunks[i].bytes, refDelta.chunks[i].bytes);
+    }
+    EXPECT_EQ(log.fingerprint(), reference.fingerprint());
+  }
 }
 
 }  // namespace
