@@ -1,0 +1,309 @@
+// Golden fingerprints of the HA paths no benchmark workload or figure
+// reaches: flap damping, fail-stop promotion with and without a spare,
+// consecutive fail-stops, standby redeploy and membership drain, PS
+// migration, AS replacement, the no-pre-deploy ablation, domain-loss
+// re-provisioning, and one chaos seed under loss, duplicates, jitter and a
+// partition.
+//
+// Each test runs one short scripted scenario (at most 12 simulated seconds,
+// drain included) with tracing on, and pins two digests: stableHash of the
+// lossless result fingerprint (exp/sweep.hpp fingerprintResult, the string
+// ChaosOutcome::resultFingerprint holds) and stableHash of the JSONL trace.
+// Event order, incident ids and every counter feed one or the other, so any
+// behavior change -- intended or not -- flips a pin.
+//
+// Re-pinning after an intentional behavior change: run the failing test, copy
+// the "actual" digests it prints into its expectPins() call, and record the
+// change and its reason in CHANGES.md (docs/TESTING.md).
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <functional>
+#include <ios>
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "exp/sweep.hpp"
+#include "harness/chaos_harness.hpp"
+
+namespace streamha {
+namespace {
+
+/// Absolute simulated times of the scripted actions below.
+using Windows = std::vector<std::pair<SimTime, SimTime>>;
+
+/// Scripted run: build, start, replay CPU spikes on `spikeMachine` (if any),
+/// let `script` schedule crashes and churn, run `duration`, drain for
+/// `drainGrace`, collect. Returns the same digests a ChaosOutcome carries.
+harness::ChaosOutcome runScripted(
+    ScenarioParams p, SimDuration drainGrace,
+    const std::function<void(Scenario&)>& script = nullptr,
+    MachineId spikeMachine = kNoMachine, const Windows& spikes = {}) {
+  p.trace.enabled = true;
+  Scenario s(std::move(p));
+  s.build();
+  std::unique_ptr<LoadGenerator> gen;
+  if (spikeMachine != kNoMachine) {
+    SpikeSpec spec;
+    spec.magnitude = 0.97;
+    gen = std::make_unique<LoadGenerator>(
+        s.cluster().sim(), s.cluster().machine(spikeMachine), spec,
+        s.cluster().forkRng(1234));
+    gen->replayWindows(spikes);
+  }
+  if (script) script(s);
+  s.start();
+  s.run(s.params().duration);
+  s.drain(drainGrace);
+  harness::ChaosOutcome out;
+  out.result = s.collect();
+  out.oracle = harness::checkExactlyOnceInOrder(s, out.result);
+  out.resultFingerprint = fingerprintResult(out.result);
+  out.trace = harness::traceJsonl(s);
+  return out;
+}
+
+/// Crash `machine` at absolute time `at` (permanently).
+void crashAt(Scenario& s, MachineId machine, SimTime at) {
+  s.cluster().sim().schedule(at - s.cluster().sim().now(), [&s, machine] {
+    s.cluster().machine(machine).crash();
+  });
+}
+
+/// Compare both digests; on a mismatch print the actual value so an
+/// intentional change re-pins in one edit.
+void expectPins(const harness::ChaosOutcome& out, std::uint64_t result,
+                std::uint64_t trace) {
+  const std::uint64_t actualResult = stableHash(out.resultFingerprint);
+  const std::uint64_t actualTrace = stableHash(out.trace);
+  EXPECT_FALSE(out.trace.empty());
+  EXPECT_EQ(actualResult, result)
+      << "actual result digest: 0x" << std::hex << actualResult;
+  EXPECT_EQ(actualTrace, trace)
+      << "actual trace digest: 0x" << std::hex << actualTrace;
+}
+
+ScenarioParams hybridParams(std::uint64_t seed) {
+  ScenarioParams p;
+  p.mode = HaMode::kHybrid;
+  p.protectedSubjobs = {2};
+  p.seed = seed;
+  return p;
+}
+
+/// One completed cycle (spike 1), a blip the holdoff absorbs, then a second
+/// oscillation whose recovery verdict quarantines the primary; the short
+/// quarantine then lapses and three healthy probes re-admit it.
+ScenarioParams dampedParams() {
+  ScenarioParams p = hybridParams(51);
+  p.duration = 10 * kSecond;
+  p.damping.enabled = true;
+  p.damping.maxCycles = 1;
+  p.damping.cycleWindow = 20 * kSecond;
+  p.damping.quarantineFor = 2 * kSecond;
+  p.damping.readmitStreak = 3;
+  p.damping.switchoverHoldoff = 600 * kMillisecond;
+  return p;
+}
+
+const Windows kFlapSpikes = {{1 * kSecond, 3 * kSecond},
+                             {4 * kSecond, 4250 * kMillisecond},
+                             {5 * kSecond, 7 * kSecond}};
+
+TEST(GoldenFingerprint, FlapDampingHoldoffQuarantineAndReadmission) {
+  ScenarioParams p = dampedParams();
+  p.provisionSpares = true;
+  const harness::ChaosOutcome out =
+      runScripted(p, 2 * kSecond, nullptr, 2, kFlapSpikes);
+  EXPECT_EQ(out.result.switchovers, 2u);
+  EXPECT_EQ(out.result.rollbacks, 1u);
+  EXPECT_EQ(out.result.promotions, 1u);
+  EXPECT_EQ(out.result.gray.quarantines, 1u);
+  EXPECT_EQ(out.result.gray.readmissions, 1u);
+  EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
+  expectPins(out, 0x4f787206977b82faULL, 0x1c09d1b80c06ebb8ULL);
+}
+
+TEST(GoldenFingerprint, FlapDampingQuarantinesThroughThePlanner) {
+  ScenarioParams p = dampedParams();
+  p.placement.enabled = true;
+  p.placement.topology.racks = 3;
+  p.placement.poolMachines = 4;
+  const harness::ChaosOutcome out =
+      runScripted(p, 2 * kSecond, nullptr, 2, kFlapSpikes);
+  EXPECT_EQ(out.result.gray.quarantines, 1u);
+  EXPECT_EQ(out.result.gray.readmissions, 1u);
+  EXPECT_EQ(out.result.promotions, 1u);
+  EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
+  expectPins(out, 0x55b0316acd2a41efULL, 0xebf6fb21ace67568ULL);
+}
+
+ScenarioParams failstopParams(HaMode mode, bool spares) {
+  ScenarioParams p = hybridParams(81);
+  p.mode = mode;
+  p.provisionSpares = spares;
+  p.failStopAfter = 2 * kSecond;
+  p.duration = 9 * kSecond;
+  return p;
+}
+
+TEST(GoldenFingerprint, FailStopPromotionOntoSpare) {
+  const harness::ChaosOutcome out =
+      runScripted(failstopParams(HaMode::kHybrid, true), 3 * kSecond,
+                  [](Scenario& s) { crashAt(s, 2, 1 * kSecond); });
+  EXPECT_EQ(out.result.promotions, 1u);
+  EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
+  expectPins(out, 0xac8ecb6cfd04b8fbULL, 0x24757cd4f27419d6ULL);
+}
+
+TEST(GoldenFingerprint, FailStopPromotionWithoutSpareRunsDegraded) {
+  const harness::ChaosOutcome out =
+      runScripted(failstopParams(HaMode::kHybrid, false), 3 * kSecond,
+                  [](Scenario& s) { crashAt(s, 2, 1 * kSecond); });
+  EXPECT_EQ(out.result.promotions, 1u);
+  EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
+  expectPins(out, 0xe1490ebba64a1648ULL, 0x9d8fcdb48d39d545ULL);
+}
+
+TEST(GoldenFingerprint, ConsecutiveFailStops) {
+  ScenarioParams p = failstopParams(HaMode::kHybrid, true);
+  p.duration = 10 * kSecond;
+  // The first promotion moves the primary onto the standby machine; the
+  // second crash takes that machine too, so the copy pre-deployed on the
+  // spare takes over and the job finishes degraded.
+  const harness::ChaosOutcome out =
+      runScripted(p, 2 * kSecond, [](Scenario& s) {
+        crashAt(s, 2, 1 * kSecond);
+        crashAt(s, s.standbyMachineOf(2), 6 * kSecond);
+      });
+  EXPECT_EQ(out.result.promotions, 2u);
+  EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
+  expectPins(out, 0x8c32a4558aec2a15ULL, 0x6f8e0adaa23f9c3fULL);
+}
+
+TEST(GoldenFingerprint, NoPredeploySwitchoverThenPromotion) {
+  ScenarioParams p = failstopParams(HaMode::kHybrid, true);
+  p.predeploySecondary = false;
+  const harness::ChaosOutcome out =
+      runScripted(p, 3 * kSecond,
+                  [](Scenario& s) { crashAt(s, 2, 1 * kSecond); });
+  EXPECT_EQ(out.result.promotions, 1u);
+  EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
+  expectPins(out, 0x3c6d87c381fb8c4ULL, 0x70e08c0d07582a17ULL);
+}
+
+/// 3 racks, subjob 2 protected, standbys drawn from a 4-machine pool.
+ScenarioParams placedParams(std::uint64_t seed) {
+  ScenarioParams p = hybridParams(seed);
+  p.failStopAfter = 2 * kSecond;
+  p.duration = 9 * kSecond;
+  p.placement.enabled = true;
+  p.placement.topology.racks = 3;
+  p.placement.poolMachines = 4;
+  return p;
+}
+
+TEST(GoldenFingerprint, PlannerChoosesSpareForPromotion) {
+  const harness::ChaosOutcome out =
+      runScripted(placedParams(11), 3 * kSecond,
+                  [](Scenario& s) { crashAt(s, 2, 1 * kSecond); });
+  EXPECT_EQ(out.result.promotions, 1u);
+  EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
+  expectPins(out, 0xf88d9fe277463358ULL, 0x76c2464abe6725b1ULL);
+}
+
+TEST(GoldenFingerprint, StandbyOnlyLossRedeploysStandby) {
+  const harness::ChaosOutcome out =
+      runScripted(placedParams(12), 3 * kSecond, [](Scenario& s) {
+        crashAt(s, s.standbyMachineOf(2), 2 * kSecond);
+      });
+  EXPECT_EQ(out.result.placement.standbyRedeploys, 1u);
+  EXPECT_EQ(out.result.placement.domainLosses, 0u);
+  EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
+  expectPins(out, 0x1144fabd58dec85aULL, 0xb79c39c22d96ed00ULL);
+}
+
+TEST(GoldenFingerprint, DomainLossReprovisionsFromCheckpoint) {
+  ScenarioParams p = placedParams(13);
+  p.placement.domainAware = false;
+  const harness::ChaosOutcome out =
+      runScripted(p, 3 * kSecond, [](Scenario& s) {
+        crashAt(s, 2, 2 * kSecond);
+        crashAt(s, s.standbyMachineOf(2), 2 * kSecond);
+      });
+  EXPECT_EQ(out.result.placement.domainLosses, 1u);
+  EXPECT_EQ(out.result.placement.reprovisions, 1u);
+  EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
+  expectPins(out, 0x7e7ab4f708b1bd09ULL, 0x99fc0dbdbc579c78ULL);
+}
+
+TEST(GoldenFingerprint, MembershipRetireDrainsStandbyHost) {
+  ScenarioParams p = placedParams(14);
+  p.membership.enabled = true;
+  const harness::ChaosOutcome out =
+      runScripted(p, 3 * kSecond, [](Scenario& s) {
+        const MachineId host = s.standbyMachineOf(2);
+        s.cluster().sim().schedule(3 * kSecond, [&s, host] {
+          s.membership()->retire(host);
+        });
+      });
+  EXPECT_EQ(out.result.membership.retirements, 1u);
+  EXPECT_EQ(out.result.placement.standbyRedeploys, 1u);
+  EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
+  expectPins(out, 0x3c291383ddcac671ULL, 0x95e57217cc5516b5ULL);
+}
+
+TEST(GoldenFingerprint, PassiveStandbyMigratesOnCrash) {
+  const harness::ChaosOutcome out =
+      runScripted(failstopParams(HaMode::kPassiveStandby, false), 3 * kSecond,
+                  [](Scenario& s) { crashAt(s, 2, 2 * kSecond); });
+  EXPECT_EQ(out.result.recovery.count, 1u);
+  EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
+  expectPins(out, 0x22a654627df9e3f0ULL, 0x1e50f7e2c4ae6329ULL);
+}
+
+TEST(GoldenFingerprint, ActiveStandbyReplacesCrashedCopy) {
+  const harness::ChaosOutcome out =
+      runScripted(failstopParams(HaMode::kActiveStandby, true), 3 * kSecond,
+                  [](Scenario& s) { crashAt(s, 2, 1 * kSecond); });
+  EXPECT_EQ(out.result.recovery.count, 1u);
+  EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
+  expectPins(out, 0x1a88f2fbeaf11099ULL, 0x3cbd7a4124753057ULL);
+}
+
+TEST(GoldenFingerprint, ChaosSeedUnderLossDuplicatesJitterAndPartition) {
+  ScenarioParams p;
+  p.mode = HaMode::kHybrid;
+  p.protectedSubjobs = {1, 2};
+  p.provisionSpares = true;
+  p.failStopAfter = 3 * kSecond;
+  p.duration = 8 * kSecond;
+  p.seed = 7;
+  p.trace.enabled = true;
+  harness::ChaosProfile profile;
+  profile.maxDuplicateProb = 0.05;
+  profile.maxDelayProb = 0.1;
+  profile.withCrash = false;
+  profile.faultsFrom = 2 * kSecond;
+  profile.faultsUntil = 7 * kSecond;
+  const harness::ChaosPlan plan = harness::makeChaosPlan(p, profile, p.seed);
+  ASSERT_FALSE(plan.schedule.links.empty());
+  ASSERT_FALSE(plan.schedule.partitions.empty());
+  p.faults = plan.schedule;
+  p.faultSeedSalt = p.seed;
+  harness::ChaosRunOpts opts;
+  opts.quiescentDrain = false;
+  opts.maxDrain = 4 * kSecond;
+  opts.captureTrace = true;
+  const harness::ChaosOutcome out = harness::runChaosScenario(p, opts);
+  EXPECT_GT(out.faults.randomDrops, 0u);
+  EXPECT_GT(out.faults.partitionDrops, 0u);
+  EXPECT_GT(out.faults.duplicates, 0u);
+  EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
+  expectPins(out, 0x10b994b598860910ULL, 0x7068f76ae545d85fULL);
+}
+
+}  // namespace
+}  // namespace streamha
