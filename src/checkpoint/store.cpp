@@ -24,26 +24,17 @@ void recordStoreEvent(TraceRecorder* trace, TraceEventType type, SimTime at,
 
 }  // namespace
 
-StateStore::StateStore(Simulator& sim, Machine& machine, Params params)
-    : sim_(sim), machine_(machine), params_(params) {
+StateStore::StateStore(Simulator& sim, Machine& machine, Params params,
+                       TraceRecorder* trace)
+    : sim_(sim), machine_(machine), params_(params), trace_(trace) {
   if (params_.tiered) {
     backend_ = std::make_unique<TieredBackend>(sim_, params_.tiers,
-                                               machine_.id(), nullptr);
+                                               machine_.id(), trace_);
   }
 }
 
 StateStore::StateStore(Simulator& sim, Machine& machine)
     : StateStore(sim, machine, Params{}) {}
-
-void StateStore::setTrace(TraceRecorder* trace) {
-  trace_ = trace;
-  if (backend_ != nullptr) {
-    // Recreate with the sink attached: setTrace is called right after
-    // construction, before any write.
-    backend_ = std::make_unique<TieredBackend>(sim_, params_.tiers,
-                                               machine_.id(), trace);
-  }
-}
 
 std::uint64_t StateStore::allocationKey(SubjobId subjob, LogicalPeId pe,
                                         std::uint64_t runId) {

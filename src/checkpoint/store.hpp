@@ -57,16 +57,15 @@ class StateStore {
     TieredBackendParams tiers;
   };
 
-  StateStore(Simulator& sim, Machine& machine, Params params);
+  /// `trace` is the optional sink for kTierSpill / kCompaction* events (null
+  /// = tracing off); recording never changes simulated behavior.
+  StateStore(Simulator& sim, Machine& machine, Params params,
+             TraceRecorder* trace = nullptr);
   StateStore(Simulator& sim, Machine& machine);
   StateStore(const StateStore&) = delete;
   StateStore& operator=(const StateStore&) = delete;
 
   Machine& machine() { return machine_; }
-
-  /// Wire the optional trace sink (kTierSpill / kCompaction* events). Safe to
-  /// leave unset; recording never changes simulated behavior.
-  void setTrace(TraceRecorder* trace);
 
   /// Store an updated state for one PE of `subjob`; `onDurable` runs once the
   /// write completes (immediately for memory, after the penalty for disk).

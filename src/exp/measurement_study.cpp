@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "cluster/load_generator.hpp"
@@ -106,22 +109,22 @@ std::vector<MachineProcessingTime> measureParallelApp(
   }
 
   // Submit the parallel tasks back-to-back on every machine, with a little
-  // per-task work jitter like a real data-dependent job.
-  struct Pending {
-    int machine;
-    SimTime started;
-  };
+  // per-task work jitter like a real data-dependent job. Each machine's task
+  // chain lives here, outliving the run: a chain that owned itself through
+  // its own closure would never be freed.
+  std::vector<std::function<void(int)>> chains(
+      static_cast<std::size_t>(params.machines));
   for (int m = 0; m < params.machines; ++m) {
     Machine& machine = cluster.machine(m);
     RunningStats* stats = &perMachine[static_cast<std::size_t>(m)];
     // Chain tasks: each completion submits the next.
-    auto submitNext = std::make_shared<std::function<void(int)>>();
+    std::function<void(int)>* submitNext = &chains[static_cast<std::size_t>(m)];
     Rng taskRng = rng.fork(static_cast<std::uint64_t>(m) + 100);
     auto rngShared = std::make_shared<Rng>(taskRng);
     Simulator* sim = &cluster.sim();
     const double baseWorkUs = params.taskSeconds * kSecond;
-    *submitNext = [sim, &machine, stats, rngShared, baseWorkUs, submitNext,
-                   total = params.tasksPerMachine](int remaining) {
+    *submitNext = [sim, &machine, stats, rngShared, baseWorkUs,
+                   submitNext](int remaining) {
       if (remaining <= 0) return;
       const double work = baseWorkUs * rngShared->uniformReal(0.97, 1.03);
       const SimTime started = sim->now();
@@ -129,7 +132,6 @@ std::vector<MachineProcessingTime> measureParallelApp(
         stats->add(toSeconds(sim->now() - started));
         (*submitNext)(remaining - 1);
       });
-      (void)total;
     };
     (*submitNext)(params.tasksPerMachine);
   }

@@ -115,8 +115,6 @@ void Scenario::build() {
   Cluster::Params clusterParams;
   clusterParams.machineCount = machine_count_;
   clusterParams.seed = params_.seed;
-  clusterParams.machine = params_.machineParams;
-  clusterParams.network.batchedDelivery = params_.batchedNetworkDelivery;
   clusterParams.topology = params_.placement.topology;
   cluster_ = std::make_unique<Cluster>(clusterParams);
 
@@ -214,9 +212,6 @@ void Scenario::build() {
   if (params_.membership.enabled) {
     MembershipService::Params mp;
     mp.directory = sink_machine_;
-    mp.beaconInterval = params_.membership.beaconInterval;
-    mp.leaseDuration = params_.membership.leaseDuration;
-    mp.warmUp = params_.membership.warmUp;
     membership_ = std::make_unique<MembershipService>(*cluster_, mp);
 
     // Roster wiring. Pool eligibility: any member that is not a primary and
@@ -232,13 +227,12 @@ void Scenario::build() {
     listener.onWarmedUp = [this](MachineId m) {
       if (planner_ != nullptr) planner_->setWarm(m);
     };
-    listener.onLeft = [this](MachineId m,
-                             MembershipService::LeaveReason reason) {
+    // Retirement and lease expiry drain a standby alike.
+    listener.onLeft = [this](MachineId m, MembershipService::LeaveReason) {
       if (planner_ != nullptr) planner_->removePoolMachine(m);
       for (auto& c : coordinators_) {
         if (auto* hybrid = dynamic_cast<HybridCoordinator*>(c.get())) {
-          hybrid->noteMemberLeft(
-              m, reason == MembershipService::LeaveReason::kRetired);
+          hybrid->noteMemberLeft(m);
         }
       }
     };
@@ -326,9 +320,6 @@ void Scenario::createCoordinators() {
       AccrualDetector::Params ad;
       ad.interval = params_.heartbeatInterval;
       ad.failPhi = params_.accrual.failPhi;
-      ad.recoverPhi = params_.accrual.recoverPhi;
-      ad.recoverStreak = params_.accrual.recoverStreak;
-      ad.historySize = params_.accrual.historySize;
       ha.detectorFactory = [ad](Simulator& sim, Network& net, Machine& monitor,
                                 Machine& target,
                                 FailureDetector::Callbacks callbacks) {
@@ -337,19 +328,7 @@ void Scenario::createCoordinators() {
       };
     }
     ha.damping = params_.damping;
-    if (planner_ != nullptr) {
-      ha.planner = planner_.get();
-      ha.reprovisionOnDomainLoss = params_.placement.reprovision;
-      ha.reprovisionConfirm = params_.placement.reprovisionConfirm;
-      ha.reprovisionRetry = params_.placement.reprovisionRetry;
-      // Quarantine verdicts make the machine ineligible for every planner
-      // choice (spares, fresh standbys, re-provision targets) until
-      // re-admission.
-      PlacementPlanner* planner = planner_.get();
-      ha.quarantineListener = [planner](MachineId machine, bool quarantined) {
-        planner->setQuarantined(machine, quarantined);
-      };
-    }
+    ha.planner = planner_.get();
     ha.store = params_.store;
     ha.predeploySecondary = params_.predeploySecondary;
     ha.earlyConnections = params_.earlyConnections;
@@ -357,17 +336,17 @@ void Scenario::createCoordinators() {
     std::unique_ptr<HaCoordinator> coordinator;
     switch (params_.mode) {
       case HaMode::kActiveStandby:
-        ha.heartbeat.missThreshold = params_.psMissThreshold;
         coordinator =
             std::make_unique<ActiveStandbyCoordinator>(*runtime_, sj, ha);
         break;
       case HaMode::kPassiveStandby:
-        ha.heartbeat.missThreshold = params_.psMissThreshold;
         coordinator =
             std::make_unique<PassiveStandbyCoordinator>(*runtime_, sj, ha);
         break;
       case HaMode::kHybrid:
-        ha.heartbeat.missThreshold = params_.hybridMissThreshold;
+        // Section IV: act on the first heartbeat miss (AS and PS keep the
+        // detector's conventional 3-miss threshold).
+        ha.heartbeat.missThreshold = 1;
         coordinator = std::make_unique<HybridCoordinator>(*runtime_, sj, ha);
         break;
       case HaMode::kNone:
@@ -385,18 +364,16 @@ void Scenario::createLoadGenerators() {
   loaded_machines_.clear();
   const int numSubjobs =
       (params_.numPes + params_.pesPerSubjob - 1) / params_.pesPerSubjob;
-  if (params_.failuresOnPrimaries) {
-    if (params_.failurePlacement ==
-        ScenarioParams::FailurePlacement::kAllButFirst) {
-      // "on all primary machines except the first one in the chain".
-      for (int i = 1; i < numSubjobs; ++i) {
-        loaded_machines_.push_back(static_cast<MachineId>(i));
-      }
-    } else {
-      for (SubjobId sj : params_.protectedSubjobs) {
-        const MachineId m = primaryMachineOf(sj);
-        if (m != 0) loaded_machines_.push_back(m);
-      }
+  if (params_.failurePlacement ==
+      ScenarioParams::FailurePlacement::kAllButFirst) {
+    // "on all primary machines except the first one in the chain".
+    for (int i = 1; i < numSubjobs; ++i) {
+      loaded_machines_.push_back(static_cast<MachineId>(i));
+    }
+  } else {
+    for (SubjobId sj : params_.protectedSubjobs) {
+      const MachineId m = primaryMachineOf(sj);
+      if (m != 0) loaded_machines_.push_back(m);
     }
   }
   if (params_.failuresOnStandbys) {
@@ -412,7 +389,7 @@ void Scenario::createLoadGenerators() {
   }
   SpikeSpec spec = SpikeSpec::fromTimeFraction(
       params_.failureDuration, params_.failureFraction,
-      params_.failureMagnitude, !params_.regularFailures);
+      params_.failureMagnitude);
   spec.rampDuration = params_.failureRamp;
   for (MachineId m : loaded_machines_) {
     load_generators_.push_back(std::make_unique<LoadGenerator>(
@@ -591,11 +568,11 @@ ScenarioResult Scenario::collect() {
     result.switchovers += c->switchovers();
     result.rollbacks += c->rollbacks();
     result.promotions += c->promotions();
-    result.gray.flapsDetected += c->flapsDetected();
-    result.gray.quarantines += c->quarantines();
-    result.gray.readmissions += c->readmissions();
     result.state += c->stateTelemetry();
     if (auto* hybrid = dynamic_cast<HybridCoordinator*>(c.get())) {
+      result.gray.flapsDetected += hybrid->flapsDetected();
+      result.gray.quarantines += hybrid->quarantines();
+      result.gray.readmissions += hybrid->readmissions();
       result.elementsToStalledPrimary += hybrid->elementsToStalledPrimary();
       result.stateReadElements += hybrid->stateReadElements();
       result.placement.domainLosses += hybrid->domainLosses();

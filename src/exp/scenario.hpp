@@ -73,8 +73,6 @@ struct ScenarioParams {
   bool sharedSecondary = false;
   SimDuration checkpointInterval = 50 * kMillisecond;
   SimDuration heartbeatInterval = 100 * kMillisecond;
-  int psMissThreshold = 3;
-  int hybridMissThreshold = 1;
   int recoverThreshold = 2;
   SimDuration failStopAfter = 10 * kSecond;
   CheckpointKind checkpointKind = CheckpointKind::kSweeping;
@@ -99,9 +97,6 @@ struct ScenarioParams {
   struct AccrualConfig {
     bool enabled = false;
     double failPhi = 2.0;
-    double recoverPhi = 0.5;
-    int recoverStreak = 2;
-    std::size_t historySize = 32;
   };
   AccrualConfig accrual;
   /// Switchover hysteresis + flap damping + quarantine (Hybrid only). Off by
@@ -125,11 +120,6 @@ struct ScenarioParams {
     bool domainAware = true;
     /// Replacement-pool size (standbys are drawn from this pool).
     int poolMachines = 0;
-    /// Re-provision from the last confirmed checkpoint when primary and
-    /// secondary are lost together (Hybrid only).
-    bool reprovision = true;
-    SimDuration reprovisionConfirm = 500 * kMillisecond;
-    SimDuration reprovisionRetry = 1 * kSecond;
   };
   PlacementConfig placement;
 
@@ -147,9 +137,6 @@ struct ScenarioParams {
     bool enabled = false;
     /// Extra machines appended after the pool/spare slots, latent at start.
     int latentMachines = 0;
-    SimDuration beaconInterval = 500 * kMillisecond;
-    SimDuration leaseDuration = 2 * kSecond;
-    SimDuration warmUp = kSecond;
   };
   MembershipConfig membership;
 
@@ -163,9 +150,7 @@ struct ScenarioParams {
   /// (the Fig 4 / Fig 5 policy-comparison setup).
   enum class FailurePlacement { kAllButFirst, kProtectedOnly };
   FailurePlacement failurePlacement = FailurePlacement::kProtectedOnly;
-  bool failuresOnPrimaries = true;
   bool failuresOnStandbys = false;   ///< Fig 4 loads the secondary too.
-  bool regularFailures = false;      ///< Regular vs Poisson arrivals.
 
   // -- Tracing ----------------------------------------------------------------
   /// Structured event tracing (see trace/). Off by default: a null recorder
@@ -203,12 +188,6 @@ struct ScenarioParams {
   SimDuration duration = 30 * kSecond;
   std::uint64_t seed = 1;
   Runtime::Costs costs;
-  Machine::Params machineParams;
-  /// Coalesce back-to-back same-link deliveries into one scheduled event
-  /// (Network::Params::batchedDelivery). Trace- and result-identical to the
-  /// per-message path; the toggle exists for A/B equivalence tests and the
-  /// substrate bench.
-  bool batchedNetworkDelivery = true;
 };
 
 struct ScenarioResult {

@@ -27,24 +27,15 @@ void ActiveStandbyCoordinator::setup() {
 void ActiveStandbyCoordinator::installDetectors() {
   retire(std::move(detector_));
   retire(std::move(detector2_));
-  {
+  // Each copy's machine watches the other copy.
+  auto watch = [this](Subjob& monitor, Subjob& target, Replica which) {
     FailureDetector::Callbacks callbacks;
-    callbacks.onFailure = [this](SimTime t) {
-      onCopyFailure(Replica::kPrimary, t);
-    };
-    detector_ = makeDetector(secondary_->machine(), primary_->machine(),
-                             std::move(callbacks));
-    detector_->start();
-  }
-  {
-    FailureDetector::Callbacks callbacks;
-    callbacks.onFailure = [this](SimTime t) {
-      onCopyFailure(Replica::kSecondary, t);
-    };
-    detector2_ = makeDetector(primary_->machine(), secondary_->machine(),
-                              std::move(callbacks));
-    detector2_->start();
-  }
+    callbacks.onFailure = [this, which](SimTime t) { onCopyFailure(which, t); };
+    return startDetector(monitor.machine(), target.machine(),
+                         std::move(callbacks));
+  };
+  detector_ = watch(*secondary_, *primary_, Replica::kPrimary);
+  detector2_ = watch(*primary_, *secondary_, Replica::kSecondary);
 }
 
 void ActiveStandbyCoordinator::onCopyFailure(Replica which,
@@ -73,25 +64,16 @@ void ActiveStandbyCoordinator::replaceCopy(Replica which) {
                               << " copy of subjob " << subjob_
                               << " on spare machine " << spare;
 
-  RecoveryTimeline timeline;
-  timeline.incidentId = beginTraceIncident();
-  timeline.detectedAt = sim().now();
-  recoveries_.push_back(timeline);
-  const std::size_t idx = recoveries_.size() - 1;
-  recordIncidentEvent(TraceEventType::kSwitchoverBegin, timeline.incidentId,
-                      dead->machine().id(), spare);
-
-  isolateInstance(*dead);
-  dead->terminateAll();
-  rt_.removeWiresOf(*dead);
+  const std::size_t idx =
+      openIncident(TraceEventType::kSwitchoverBegin, sim().now(),
+                   dead->machine().id(), spare);
+  tearDown(*dead);
 
   cluster().machine(spare).submitData(
       rt_.costs().deployWorkUs, [this, which, survivor, spare, idx] {
         Subjob& copy = rt_.instantiate(subjob_, spare, which);
         copy.setAckPolicy(AckPolicy::kOnProcess);
-        recoveries_[idx].redeployDoneAt = sim().now();
-        recordIncidentEvent(TraceEventType::kRedeployDone,
-                            recoveries_[idx].incidentId, spare, kNoMachine);
+        markRedeployDone(idx, spare);
         if (which == Replica::kPrimary) {
           primary_ = &copy;
         } else {
@@ -116,17 +98,13 @@ void ActiveStandbyCoordinator::replaceCopy(Replica which) {
                     copy, Runtime::WireOpts{false, false},
                     Runtime::WireOpts{false, false},
                     [this, &copy, state, idx] {
-                      recoveries_[idx].connectionsReadyAt = sim().now();
-                      recordIncidentEvent(TraceEventType::kConnectionsReady,
-                                          recoveries_[idx].incidentId,
-                                          copy.machine().id(), kNoMachine);
+                      markConnectionsReady(idx, copy.machine().id());
                       activateRestoredInstance(copy, state,
                                                /*gateInbound=*/true);
                       copy.startAckTimer(rt_.costs().ackFlushInterval);
                       installDetectors();
                       replacing_ = false;
                     });
-                (void)survivor;
               });
         });
       });

@@ -43,30 +43,73 @@ void HaCoordinator::recordIncidentEvent(TraceEventType type,
   tr->record(ev);
 }
 
-std::unique_ptr<FailureDetector> HaCoordinator::makeDetector(
+std::unique_ptr<FailureDetector> HaCoordinator::startDetector(
     Machine& monitor, Machine& target, FailureDetector::Callbacks callbacks) {
+  std::unique_ptr<FailureDetector> detector;
   if (params_.detectorFactory) {
-    return params_.detectorFactory(sim(), net(), monitor, target,
-                                   std::move(callbacks));
+    detector = params_.detectorFactory(sim(), net(), monitor, target,
+                                       std::move(callbacks));
+  } else {
+    detector = std::make_unique<HeartbeatDetector>(
+        sim(), net(), monitor, target, params_.heartbeat, std::move(callbacks));
   }
-  return std::make_unique<HeartbeatDetector>(
-      sim(), net(), monitor, target, params_.heartbeat, std::move(callbacks));
+  detector->start();
+  return detector;
 }
 
-std::unique_ptr<CheckpointManager> HaCoordinator::makeCheckpointManager(
-    Subjob& subjob, StateStore& store) {
+std::size_t HaCoordinator::openIncident(TraceEventType type,
+                                        SimTime detectedAt, MachineId machine,
+                                        MachineId peer) {
+  RecoveryTimeline timeline;
+  timeline.incidentId = beginTraceIncident();
+  timeline.detectedAt = detectedAt;
+  recoveries_.push_back(timeline);
+  recordIncidentEvent(type, timeline.incidentId, machine, peer);
+  return recoveries_.size() - 1;
+}
+
+void HaCoordinator::markRedeployDone(std::size_t timelineIdx,
+                                     MachineId machine) {
+  recoveries_[timelineIdx].redeployDoneAt = sim().now();
+  recordIncidentEvent(TraceEventType::kRedeployDone,
+                      recoveries_[timelineIdx].incidentId, machine, kNoMachine);
+}
+
+void HaCoordinator::markConnectionsReady(std::size_t timelineIdx,
+                                         MachineId machine) {
+  recoveries_[timelineIdx].connectionsReadyAt = sim().now();
+  recordIncidentEvent(TraceEventType::kConnectionsReady,
+                      recoveries_[timelineIdx].incidentId, machine, kNoMachine);
+}
+
+void HaCoordinator::replaceStore(Machine& host) {
+  retire(std::move(store_));
+  store_ = std::make_unique<StateStore>(sim(), host, params_.store, trace());
+}
+
+void HaCoordinator::startCheckpointing() {
+  retire(std::move(cm_));
   switch (params_.checkpointKind) {
     case CheckpointKind::kSweeping:
-      return std::make_unique<SweepingCheckpointManager>(
-          sim(), net(), subjob, store, params_.checkpoint);
+      cm_ = std::make_unique<SweepingCheckpointManager>(
+          sim(), net(), *primary_, *store_, params_.checkpoint);
+      break;
     case CheckpointKind::kSynchronous:
-      return std::make_unique<SynchronousCheckpointManager>(
-          sim(), net(), subjob, store, params_.checkpoint);
+      cm_ = std::make_unique<SynchronousCheckpointManager>(
+          sim(), net(), *primary_, *store_, params_.checkpoint);
+      break;
     case CheckpointKind::kIndividual:
-      return std::make_unique<IndividualCheckpointManager>(
-          sim(), net(), subjob, store, params_.checkpoint);
+      cm_ = std::make_unique<IndividualCheckpointManager>(
+          sim(), net(), *primary_, *store_, params_.checkpoint);
+      break;
   }
-  return nullptr;
+  cm_->start();
+}
+
+void HaCoordinator::tearDown(Subjob& copy) {
+  isolateInstance(copy);
+  copy.terminateAll();
+  rt_.removeWiresOf(copy);
 }
 
 ElementSeq HaCoordinator::stateWatermark(const SubjobState& state,

@@ -16,7 +16,6 @@
 //              recovers, promotion on fail-stop, secondary multiplexing.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -25,6 +24,7 @@
 #include "detect/detector.hpp"
 #include "detect/heartbeat.hpp"
 #include "detect/predictive.hpp"
+#include "ha/flap_damping.hpp"
 #include "metrics/recovery.hpp"
 #include "stream/runtime.hpp"
 #include "trace/event.hpp"
@@ -47,37 +47,6 @@ constexpr const char* toString(HaMode mode) {
 
 enum class CheckpointKind : std::uint8_t { kSweeping, kSynchronous, kIndividual };
 
-/// Switchover hysteresis and flap damping (gray-failure resilience, Hybrid
-/// only). A gray primary -- slow, jittery, but not dead -- makes first-miss
-/// detection oscillate: switchover -> primary limps back -> rollback ->
-/// switchover again, paying retransmission and state-read cost every cycle.
-/// With damping enabled the coordinator tracks completed
-/// switchover<->rollback cycles per primary; once `maxCycles` complete
-/// within `cycleWindow`, the next recovery verdict *quarantines* the
-/// degraded node instead of rolling back into the flap: the secondary is
-/// promoted permanently, a fresh standby is deployed on the spare, and the
-/// node only re-joins the pool after `quarantineFor` plus `readmitStreak`
-/// healthy probe replies. Everything off by default: a default-constructed
-/// FlapDamping changes no behavior.
-struct FlapDamping {
-  bool enabled = false;
-  /// Completed switchover<->rollback cycles tolerated inside `cycleWindow`
-  /// before the next recovery quarantines instead of rolling back.
-  int maxCycles = 1;
-  SimDuration cycleWindow = 15 * kSecond;
-  /// Quarantine length before re-admission probing starts.
-  SimDuration quarantineFor = 60 * kSecond;
-  /// Consecutive healthy probe replies required to re-admit.
-  int readmitStreak = 3;
-  /// Probe period during re-admission (0 = the heartbeat interval).
-  SimDuration probeInterval = 0;
-  /// Optional switchover hysteresis: when a cycle already happened inside
-  /// `cycleWindow`, delay acting on a new failure declaration by this much
-  /// and re-confirm the detector still says failed. 0 = act immediately
-  /// (the paper's first-miss policy).
-  SimDuration switchoverHoldoff = 0;
-};
-
 struct HaParams {
   MachineId standbyMachine = kNoMachine;
   /// Replacement standby used after a fail-stop promotion/replacement.
@@ -99,28 +68,18 @@ struct HaParams {
   bool readStateOnRollback = true;  ///< Off: primary grinds through backlog.
   // -- Gray-failure resilience ----------------------------------------------
   FlapDamping damping;
-  /// Notified when a machine enters (true) or leaves (false) quarantine; the
-  /// scenario wires this to LoadBalancer::setQuarantined so the scheduler
-  /// stops treating the degraded node as a migration/spare target.
-  std::function<void(MachineId, bool)> quarantineListener;
   // -- Failure-domain-aware placement (place/) --------------------------------
   /// Optional placement planner consulted for replacement-machine choices:
   /// the spare at fail-stop/quarantine promotion, the fresh standby after a
-  /// standby-only loss, and the domain-loss re-provision target. Null =
-  /// legacy behavior (the static `spareMachine` is used as-is, minus a
-  /// liveness check). Not owned.
-  PlacementPlanner* planner = nullptr;
-  /// Domain-loss recovery (Hybrid only, requires `planner`): when primary
-  /// and secondary are lost together -- a correlated domain kill -- the
-  /// coordinator re-provisions a fresh primary from the last confirmed
+  /// standby-only loss, and the domain-loss re-provision target. Quarantine
+  /// verdicts and detector suspicions are reported to it, so it never offers
+  /// a degraded node. With a planner, Hybrid also recovers from domain loss:
+  /// when primary and secondary are lost together -- a correlated domain
+  /// kill -- it re-provisions a fresh primary from the last confirmed
   /// checkpoint on a planner-chosen machine and replays the retained
-  /// upstream queues.
-  bool reprovisionOnDomainLoss = false;
-  /// Wait after a watched machine crashes before classifying the loss, so a
-  /// staggered burst is assessed once, in full.
-  SimDuration reprovisionConfirm = 500 * kMillisecond;
-  /// Retry period when the planner pool is exhausted mid-recovery.
-  SimDuration reprovisionRetry = 1 * kSecond;
+  /// upstream queues. Null = the static `spareMachine` is used as-is, minus a
+  /// liveness check. Not owned.
+  PlacementPlanner* planner = nullptr;
 };
 
 class HaCoordinator {
@@ -153,13 +112,12 @@ class HaCoordinator {
   std::uint64_t switchovers() const { return switchovers_; }
   std::uint64_t rollbacks() const { return rollbacks_; }
   std::uint64_t promotions() const { return promotions_; }
-  // -- Gray-failure telemetry (non-zero only with flap damping enabled) -------
-  std::uint64_t flapsDetected() const { return flaps_detected_; }
-  std::uint64_t quarantines() const { return quarantines_; }
-  std::uint64_t readmissions() const { return readmissions_; }
-  /// The machine currently quarantined by this coordinator (kNoMachine when
-  /// none).
-  MachineId quarantinedMachine() const { return quarantined_machine_; }
+
+  /// Records an incident-correlated recovery event (no-op when tracing off).
+  /// `machine` is the failed/affected machine, `peer` the standby involved.
+  void recordIncidentEvent(TraceEventType type, std::uint64_t incident,
+                           MachineId machine, MachineId peer,
+                           std::uint64_t value = 0, std::uint64_t aux = 0);
 
  protected:
   Simulator& sim();
@@ -172,17 +130,29 @@ class HaCoordinator {
   /// Allocates a fresh incident correlation id; 0 when tracing is off.
   std::uint64_t beginTraceIncident();
 
-  /// Records an incident-correlated recovery event (no-op when tracing off).
-  /// `machine` is the failed/affected machine, `peer` the standby involved.
-  void recordIncidentEvent(TraceEventType type, std::uint64_t incident,
-                           MachineId machine, MachineId peer,
-                           std::uint64_t value = 0, std::uint64_t aux = 0);
+  // -- Recovery lifecycle, shared by AS, PS and Hybrid ------------------------
+  /// Open a recovery incident: a fresh timeline detected at `detectedAt`, a
+  /// trace incident id, and its opening `type` event about `machine` (the
+  /// failed/affected one) and `peer`. Returns the timeline's index.
+  std::size_t openIncident(TraceEventType type, SimTime detectedAt,
+                           MachineId machine, MachineId peer);
+  /// Timeline milestones: the replacement copy on `machine` is deployed or
+  /// resumed / its connections are ready.
+  void markRedeployDone(std::size_t timelineIdx, MachineId machine);
+  void markConnectionsReady(std::size_t timelineIdx, MachineId machine);
 
-  std::unique_ptr<CheckpointManager> makeCheckpointManager(Subjob& subjob,
-                                                           StateStore& store);
+  /// Retire the current state store and stand a fresh one up on `host`.
+  void replaceStore(Machine& host);
+  /// Retire the current checkpoint manager and start checkpointing the
+  /// primary into the current store.
+  void startCheckpointing();
+  /// Tear a dead or demoted copy down: cut it loose, terminate its PEs and
+  /// remove its wires.
+  void tearDown(Subjob& copy);
 
-  /// Builds the configured failure detector (custom factory or heartbeat).
-  std::unique_ptr<FailureDetector> makeDetector(
+  /// Builds and starts the configured failure detector (custom factory or
+  /// heartbeat): `monitor` watches `target`.
+  std::unique_ptr<FailureDetector> startDetector(
       Machine& monitor, Machine& target, FailureDetector::Callbacks callbacks);
 
   /// Position every inbound wire of `copy` at the state's watermark, then
@@ -237,10 +207,6 @@ class HaCoordinator {
   std::uint64_t switchovers_ = 0;
   std::uint64_t rollbacks_ = 0;
   std::uint64_t promotions_ = 0;
-  std::uint64_t flaps_detected_ = 0;
-  std::uint64_t quarantines_ = 0;
-  std::uint64_t readmissions_ = 0;
-  MachineId quarantined_machine_ = kNoMachine;
 
  private:
   std::vector<std::unique_ptr<CheckpointManager>> retired_cms_;

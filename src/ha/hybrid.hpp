@@ -21,17 +21,36 @@
 // secondary and deactivate its connections. If the primary stays silent past
 // `failStopAfter`, the secondary is promoted to primary and a fresh
 // secondary is pre-deployed on the spare machine.
+//
+// hybrid.cpp holds exactly that protocol. Two later policies ride on it:
+// domain-loss re-provisioning, the standby redeploy and the membership drain
+// (hybrid_reprovision.cpp, active with a placement planner), and flap damping
+// with quarantine (FlapDamper, ha/flap_damping.hpp).
 #pragma once
 
 #include <set>
+#include <utility>
 
 #include "ha/coordinator.hpp"
+#include "place/planner.hpp"
 
 namespace streamha {
 
 class HybridCoordinator : public HaCoordinator {
  public:
-  using HaCoordinator::HaCoordinator;
+  HybridCoordinator(Runtime& rt, SubjobId subjob, HaParams params)
+      : HaCoordinator(rt, subjob, std::move(params)),
+        damper_(*this, rt.cluster(), params_.damping, params_.heartbeat,
+                [this](MachineId machine) {
+                  if (params_.planner != nullptr) {
+                    params_.planner->setQuarantined(machine, false);
+                  }
+                  // The node re-joins the pool: if no spare is provisioned it
+                  // becomes the spare used by the next fail-stop promotion.
+                  if (params_.spareMachine == kNoMachine) {
+                    params_.spareMachine = machine;
+                  }
+                }) {}
 
   void setup() override;
   HaMode mode() const override { return HaMode::kHybrid; }
@@ -44,6 +63,14 @@ class HybridCoordinator : public HaCoordinator {
     return elements_to_stalled_primary_;
   }
   std::uint64_t stateReadElements() const { return state_read_elements_; }
+
+  // -- Gray-failure telemetry (non-zero only with flap damping enabled) -------
+  std::uint64_t flapsDetected() const { return damper_.flapsDetected(); }
+  std::uint64_t quarantines() const { return damper_.quarantines(); }
+  std::uint64_t readmissions() const { return damper_.readmissions(); }
+  /// The machine currently quarantined by this coordinator (kNoMachine when
+  /// none).
+  MachineId quarantinedMachine() const { return damper_.quarantined(); }
 
   // -- Placement / domain-loss telemetry (place/; planner-side counters are
   // aggregated separately by the scenario) ----------------------------------
@@ -60,9 +87,10 @@ class HybridCoordinator : public HaCoordinator {
   /// drained onto a planner-chosen machine via the redeploy path; primaries
   /// are out of scope (graceful leaves never target primary hosts, and a
   /// crashed primary's lease expiry is already covered by crash detection).
-  void noteMemberLeft(MachineId machine, bool graceful);
+  void noteMemberLeft(MachineId machine);
 
  private:
+  // -- Paper Section IV (hybrid.cpp) ------------------------------------------
   void predeploySecondary(MachineId machine);
   void installDetector(MachineId monitor, Machine& target);
   void onFailure(SimTime detectedAt);
@@ -70,31 +98,30 @@ class HybridCoordinator : public HaCoordinator {
   void completeSwitchover(std::size_t timelineIdx);
   void onRecovery(SimTime recoveredAt);
   void promote();
-  // -- Flap damping (gray-failure resilience; see HaParams::FlapDamping) ------
-  /// Completed switchover<->rollback cycles against the current primary
-  /// inside the damping window ending at `now`.
-  int cyclesInWindow(SimTime now) const;
-  /// Record one completed (or aborted) switchover<->rollback cycle.
-  void noteCycleCompleted(SimTime at);
-  /// True when the next recovery verdict should quarantine instead of
-  /// rolling back into the flap.
-  bool shouldQuarantine(SimTime now) const;
-  /// Quarantine the degraded primary: promote the secondary permanently and
-  /// begin the re-admission clock.
-  void quarantineAndPromote(SimTime now);
-  void scheduleReadmitProbe(SimDuration delay);
-  void probeQuarantined();
-  void readmitQuarantined();
-  // -- Domain-loss recovery (place/; active only with a planner and
-  // reprovisionOnDomainLoss) --------------------------------------------------
-  bool reprovisionEnabled() const {
-    return params_.planner != nullptr && params_.reprovisionOnDomainLoss;
-  }
+  /// Promote the secondary if the primary is still silent `failStopAfter`
+  /// from now.
+  void armFailStop();
+  /// The current incident's timeline; every caller runs after a switchover
+  /// (or a domain loss) opened one.
+  RecoveryTimeline& currentTimeline() { return recoveries_[current_timeline_]; }
+  /// Planner choice of a standby host away from the primary (and from any
+  /// quarantined machine); kNoMachine when the pool is exhausted.
+  MachineId chooseStandbyHost();
+  /// Protect the primary again with a standby on `host`: fresh store, a
+  /// suspended pre-deployed copy, checkpointing and a detector.
+  void standUpStandby(MachineId host);
+  /// No standby available: checkpoint into a store on the primary's own
+  /// machine so the job keeps running, without standby protection.
+  void runUnprotected();
+
+  // -- Domain-loss re-provisioning, standby redeploy, membership drain
+  // (hybrid_reprovision.cpp; active only with a placement planner) ----------
+  bool reprovisionEnabled() const { return params_.planner != nullptr; }
   /// Register a (permanent, idempotent) crash listener on a machine hosting
   /// one of this coordinator's copies or replacement targets.
   void watchMachine(MachineId machine);
   /// Crash listener body: schedules one coalesced assessLoss() per
-  /// reprovisionConfirm window.
+  /// confirmation window.
   void onWatchedMachineCrash();
   /// Classify what the crash burst actually took out and dispatch to the
   /// matching recovery path.
@@ -110,15 +137,17 @@ class HybridCoordinator : public HaCoordinator {
   /// Secondary/standby lost while the primary survives: tear down the dead
   /// copy and stand a fresh standby up on a planner-chosen machine.
   void redeployStandby();
-  /// Shared tail of both recovery paths: fresh store + suspended secondary +
-  /// checkpoint manager + detector on a planner-chosen machine (or a local
-  /// store when the pool is exhausted). Calls onStandbyRebuilt when done.
+  /// Shared tail of both recovery paths: a standby on a planner-chosen
+  /// machine, or a local store when the pool is exhausted. Calls
+  /// onStandbyRebuilt when done.
   void rebuildStandby();
-  /// Seed a freshly created rebuild store with `rebuild_carry_` so it never
-  /// holds less than the checkpoint whose acks already trimmed upstream.
+  /// Seed a freshly created store with `rebuild_carry_` (no-op outside a
+  /// rebuild) so it never holds less than the checkpoint whose acks already
+  /// trimmed upstream.
   void seedRebuiltStore();
   void onStandbyRebuilt(MachineId standby, bool degraded);
 
+  // -- Section IV state ---------------------------------------------------------
   bool switched_ = false;
   bool promoting_ = false;
   bool resume_in_flight_ = false;
@@ -126,17 +155,11 @@ class HybridCoordinator : public HaCoordinator {
   EventHandle failstop_timer_;
   SubjobQuiescer quiescer_;
   std::size_t current_timeline_ = 0;
-  SimTime switchover_started_ = kTimeNever;
   ElementSeq switchover_baseline_ = 0;  ///< Primary's position at detection.
   std::uint64_t cursor_sum_at_switchover_ = 0;
   std::uint64_t elements_to_stalled_primary_ = 0;
   std::uint64_t state_read_elements_ = 0;
-  /// Completion times of recent switchover<->rollback cycles against the
-  /// current primary machine (pruned to the damping window).
-  std::vector<SimTime> cycle_times_;
-  MachineId cycle_machine_ = kNoMachine;  ///< The machine cycle_times_ is about.
-  int probe_streak_ = 0;
-  std::uint64_t probe_epoch_ = 0;  ///< Invalidates stale probe replies.
+  FlapDamper damper_;
   // -- Domain-loss recovery state ---------------------------------------------
   std::set<MachineId> watched_machines_;  ///< Crash listeners registered.
   bool assess_pending_ = false;      ///< A coalesced assessLoss() is scheduled.

@@ -13,11 +13,8 @@ void PassiveStandbyCoordinator::setup() {
   assert(standby_machine_ != kNoMachine);
 
   primary_->setAckPolicy(AckPolicy::kOnCheckpoint);
-  store_ = std::make_unique<StateStore>(
-      sim(), cluster().machine(standby_machine_), params_.store);
-  store_->setTrace(trace());
-  cm_ = makeCheckpointManager(*primary_, *store_);
-  cm_->start();
+  replaceStore(cluster().machine(standby_machine_));
+  startCheckpointing();
   installDetector(standby_machine_, primary_->machine());
 }
 
@@ -26,9 +23,8 @@ void PassiveStandbyCoordinator::installDetector(MachineId monitor,
   retire(std::move(detector_));
   FailureDetector::Callbacks callbacks;
   callbacks.onFailure = [this](SimTime t) { onFailure(t); };
-  detector_ = makeDetector(cluster().machine(monitor), target,
-                           std::move(callbacks));
-  detector_->start();
+  detector_ = startDetector(cluster().machine(monitor), target,
+                            std::move(callbacks));
 }
 
 void PassiveStandbyCoordinator::onFailure(SimTime detectedAt) {
@@ -38,13 +34,9 @@ void PassiveStandbyCoordinator::onFailure(SimTime detectedAt) {
   // further acks may advance upstream trim points past the state the standby
   // is about to restore.
   cm_->stop();
-  RecoveryTimeline timeline;
-  timeline.incidentId = beginTraceIncident();
-  timeline.detectedAt = detectedAt;
-  recoveries_.push_back(timeline);
-  const std::size_t idx = recoveries_.size() - 1;
-  recordIncidentEvent(TraceEventType::kSwitchoverBegin, timeline.incidentId,
-                      primary_->machine().id(), standby_machine_);
+  const std::size_t idx =
+      openIncident(TraceEventType::kSwitchoverBegin, detectedAt,
+                   primary_->machine().id(), standby_machine_);
   LOG_INFO(sim().now(), "ps") << "failure declared for subjob " << subjob_
                               << "; deploying on machine " << standby_machine_;
 
@@ -60,30 +52,22 @@ void PassiveStandbyCoordinator::onFailure(SimTime detectedAt) {
     copy.setAckPolicy(AckPolicy::kOnCheckpoint);
     const SubjobState state = store_->latest(subjob_);
     copy.applyState(state);
-    recoveries_[idx].redeployDoneAt = sim().now();
-    recordIncidentEvent(TraceEventType::kRedeployDone,
-                        recoveries_[idx].incidentId, standby_machine_,
-                        kNoMachine);
+    markRedeployDone(idx, standby_machine_);
     watchFirstOutput(copy, idx, baseline);
     // Establish connections on demand (control round-trips + CPU), then
     // reposition and activate them.
     rt_.wireInstanceWithCost(
         copy, Runtime::WireOpts{false, false}, Runtime::WireOpts{false, false},
         [this, &copy, state, idx] {
-          recoveries_[idx].connectionsReadyAt = sim().now();
-          recordIncidentEvent(TraceEventType::kConnectionsReady,
-                              recoveries_[idx].incidentId,
-                              copy.machine().id(), kNoMachine);
+          markConnectionsReady(idx, copy.machine().id());
           activateRestoredInstance(copy, state, /*gateInbound=*/true);
-          finishMigration(copy, state, idx);
+          finishMigration(copy, idx);
         });
   });
 }
 
 void PassiveStandbyCoordinator::finishMigration(Subjob& copy,
-                                                const SubjobState& state,
                                                 std::size_t timelineIdx) {
-  (void)state;
   Subjob* old = primary_;
   const MachineId oldMachine = old->machine().id();
   // PS migration is permanent: the restored copy takes over the primary role.
@@ -113,14 +97,8 @@ void PassiveStandbyCoordinator::finishMigration(Subjob& copy,
   standby_machine_ = oldMachine;
   primary_->startAckTimer(rt_.costs().ackFlushInterval);
 
-  retire(std::move(cm_));
-  auto newStore = std::make_unique<StateStore>(
-      sim(), cluster().machine(standby_machine_), params_.store);
-  newStore->setTrace(trace());
-  retire(std::move(store_));
-  store_ = std::move(newStore);
-  cm_ = makeCheckpointManager(*primary_, *store_);
-  cm_->start();
+  replaceStore(cluster().machine(standby_machine_));
+  startCheckpointing();
   installDetector(standby_machine_, primary_->machine());
   recovering_ = false;
   LOG_INFO(sim().now(), "ps") << "migration complete; subjob " << subjob_

@@ -28,8 +28,7 @@ class PassiveStandbyCoordinator : public HaCoordinator {
 
  private:
   void onFailure(SimTime detectedAt);
-  void finishMigration(Subjob& copy, const SubjobState& state,
-                       std::size_t timelineIdx);
+  void finishMigration(Subjob& copy, std::size_t timelineIdx);
   void installDetector(MachineId monitor, Machine& target);
 
   MachineId standby_machine_ = kNoMachine;

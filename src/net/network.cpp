@@ -118,31 +118,12 @@ void Network::send(MachineId src, MachineId dst, MsgKind kind,
   link.free_at = start + transmit;
   const SimTime arrival = link.free_at + params_.latency + fault.extraDelay;
 
-  // A dropped message draws no delivery rank (it never schedules anything),
-  // matching the legacy path event-for-event.
+  // A dropped message draws no delivery rank (it never schedules anything).
   if (fault.drop) return;
 
-  if (!params_.batchedDelivery) {
-    // Legacy path: one scheduled event per delivery. Kept as the A/B
-    // baseline for bench/micro_substrate and the equivalence test.
-    auto deliverOnce = [this, src, dst, kind, bytes, elements,
-                        deliver = std::move(deliver)] {
-      if (machine_up_ && !machine_up_(dst)) return;
-      traceDelivered(src, dst, kind, bytes, elements);
-      deliver();
-    };
-    // Duplicate copies land right after the original (insertion order breaks
-    // the tie deterministically); receivers dedup by sequence watermark.
-    sim_.scheduleAt(arrival, deliverOnce);
-    for (std::uint32_t copy = 0; copy < fault.duplicates; ++copy) {
-      sim_.scheduleAt(arrival, deliverOnce);
-    }
-    return;
-  }
-
-  // Batched path: park the delivery (and its duplicate copies, which take
-  // the immediately following ranks, exactly like repeated scheduleAt calls
-  // did) in the link heap and make sure the pump covers the new heap-min.
+  // Park the delivery in the link heap and make sure the pump covers the new
+  // heap-min. Duplicate copies take the immediately following ranks, so each
+  // lands right after its original; receivers dedup by sequence watermark.
   const std::uint32_t copies = 1 + fault.duplicates;
   for (std::uint32_t i = 0; i < copies; ++i) {
     PendingDelivery d{arrival, sim_.reserveSeq(), src,      dst,
@@ -163,8 +144,8 @@ void Network::send(MachineId src, MachineId dst, MsgKind kind,
 // other event can exist anywhere in the system, so draining the run inline
 // is indistinguishable from firing each entry as its own event. The first
 // seq gap or timestamp change ends the batch and the pump reschedules at the
-// new heap-min -- any foreign event with a seq inside the gap then fires in
-// its legacy position.
+// new heap-min -- any foreign event with a seq inside the gap then fires
+// between the two deliveries, in seq order.
 void Network::pumpLink(std::uint64_t linkKey) {
   LinkState& link = links_[linkKey];
   const SimTime now = sim_.now();

@@ -75,11 +75,6 @@ class Network {
     SimDuration latency = 100;            ///< One-way propagation, microseconds.
     double bytesPerMicro = 125.0;         ///< 1 Gbps = 125 bytes / microsecond.
     SimDuration localDelay = 10;          ///< Same-machine delivery delay.
-    /// Coalesce back-to-back deliveries on one link behind a single scheduled
-    /// pump event (see pumpLink below). Event order, fault semantics and
-    /// trace contents are unchanged either way; false keeps the legacy
-    /// one-event-per-message path for A/B measurement.
-    bool batchedDelivery = true;
   };
 
   /// Per-kind traffic counters.

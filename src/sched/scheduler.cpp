@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "common/logging.hpp"
-#include "place/planner.hpp"
 
 namespace streamha {
 
@@ -128,37 +127,14 @@ void LoadBalancer::removeSpare(MachineId machine) {
                 spares_.end());
 }
 
-void LoadBalancer::setQuarantined(MachineId machine, bool quarantined) {
-  if (quarantined) {
-    quarantined_.insert(machine);
-    // Forget any accumulated hot streak: the HA layer owns this node now.
-    hot_streak_.erase(machine);
-  } else {
-    quarantined_.erase(machine);
-  }
-}
-
-MachineId LoadBalancer::coolestSpare(MachineId awayFrom) const {
-  Cluster& cluster = const_cast<Runtime&>(rt_).cluster();
-  const bool domainScored = planner_ != nullptr && planner_->domainAware() &&
-                            awayFrom != kNoMachine;
-  const DomainLabel awayLabel =
-      domainScored ? cluster.domainOf(awayFrom) : DomainLabel{};
+MachineId LoadBalancer::coolestSpare() {
   MachineId best = kNoMachine;
-  int best_sep = -1;
-  double best_load = 2.0;
+  double best_load = 0.0;
   for (MachineId spare : spares_) {
-    if (quarantined_.count(spare) != 0) continue;
-    const Machine& m = cluster.machine(spare);
+    const Machine& m = rt_.cluster().machine(spare);
     if (!m.isUp()) continue;
-    if (planner_ != nullptr && !planner_->eligible(spare)) continue;
-    const int sep =
-        domainScored
-            ? static_cast<int>(separationOf(m.domainLabel(), awayLabel))
-            : 0;
     const double load = m.instantaneousLoad();
-    if (sep > best_sep || (sep == best_sep && load < best_load)) {
-      best_sep = sep;
+    if (best == kNoMachine || load < best_load) {
       best_load = load;
       best = spare;
     }
@@ -168,14 +144,10 @@ MachineId LoadBalancer::coolestSpare(MachineId awayFrom) const {
 
 void LoadBalancer::poll() {
   if (migrating_) return;
-  if (veto_ && veto_()) return;
   const SimTime now = rt_.cluster().sim().now();
   for (const auto& inst : rt_.allInstances()) {
     if (!inst->alive() || inst->suspended()) continue;
     const MachineId machine = inst->machine().id();
-    // The HA layer owns quarantined nodes; migrating off one mid-quarantine
-    // would race the promotion that already evacuated it.
-    if (quarantined_.count(machine) != 0) continue;
     const double load = windowedLoad(machine);
     if (load >= params_.overloadThreshold) {
       ++hot_streak_[machine];
@@ -186,7 +158,7 @@ void LoadBalancer::poll() {
     const bool cooled =
         coolIt == cooldown_until_.end() || now >= coolIt->second;
     if (hot_streak_[machine] >= params_.sustainedSamples && cooled) {
-      const MachineId target = coolestSpare(machine);
+      const MachineId target = coolestSpare();
       if (target == kNoMachine || target == machine) continue;
       hot_streak_[machine] = 0;
       cooldown_until_[machine] = now + params_.cooldown;

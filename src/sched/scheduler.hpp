@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "sim/timer.hpp"
@@ -31,8 +30,6 @@
 #include "stream/runtime.hpp"
 
 namespace streamha {
-
-class PlacementPlanner;
 
 /// Estimated CPU demand (fraction of one machine) of each subjob of `spec`
 /// at the given source rate: sum over its PEs of workUs x expected element
@@ -74,14 +71,6 @@ class LoadBalancer {
   std::uint64_t migrations() const { return migrations_; }
   bool migrationInProgress() const { return migrating_; }
 
-  /// flow/ interplay: while the predicate returns true (source paused or
-  /// input queues overloaded), polls neither accumulate hot streaks nor start
-  /// migrations. Load sampled mid-congestion misattributes transient
-  /// backpressure stalls to the machine, and a stop-and-copy migration in the
-  /// middle of a congestion episode only deepens it -- backpressure is the
-  /// fast reaction, migration stays the slow one.
-  void setMigrationVeto(std::function<bool()> veto) { veto_ = std::move(veto); }
-
   /// membership/ interplay: elastic roster. A mid-run joined (and warmed-up)
   /// member becomes a migration candidate; a departed member is withdrawn.
   /// Both idempotent; withdrawing a machine mid-migration lets the in-flight
@@ -89,23 +78,6 @@ class LoadBalancer {
   void addSpare(MachineId machine);
   void removeSpare(MachineId machine);
   const std::vector<MachineId>& spares() const { return spares_; }
-
-  /// ha/ interplay: a quarantined machine (gray failure, see
-  /// HaParams::FlapDamping) is excluded from spare selection and never used
-  /// as a migration target until re-admitted. Wired to
-  /// HaParams::quarantineListener by the scenario driver.
-  void setQuarantined(MachineId machine, bool quarantined);
-  bool isQuarantined(MachineId machine) const {
-    return quarantined_.count(machine) != 0;
-  }
-
-  /// place/ interplay: when set, migration targets must also be eligible by
-  /// the planner (not quarantined anywhere, not currently suspected dead by
-  /// a detector) and -- when the planner is domain-aware -- the target with
-  /// the most failure-domain separation from the overloaded machine wins
-  /// before load is compared. Null (the default) keeps the legacy
-  /// coolest-spare behavior bit-identical. Not owned.
-  void setPlanner(PlacementPlanner* planner) { planner_ = planner; }
 
   /// Stop-and-copy migration of `instance` to `target`: quiesce, capture the
   /// full state (including input queues), transfer, apply, rewire, terminate
@@ -117,19 +89,15 @@ class LoadBalancer {
  private:
   void poll();
   double windowedLoad(MachineId machine);
-  /// Least-loaded live spare; with a domain-aware planner, separation from
-  /// `awayFrom` is the primary key (kNoMachine = load only).
-  MachineId coolestSpare(MachineId awayFrom = kNoMachine) const;
+  /// Least-loaded live spare (kNoMachine when none is up).
+  MachineId coolestSpare();
 
   Runtime& rt_;
   std::vector<MachineId> spares_;
   Params params_;
-  PlacementPlanner* planner_ = nullptr;
-  std::function<bool()> veto_;
   PeriodicTimer timer_;
   bool migrating_ = false;
   std::uint64_t migrations_ = 0;
-  std::set<MachineId> quarantined_;
   std::map<MachineId, int> hot_streak_;
   std::map<MachineId, double> last_integral_;
   std::map<MachineId, SimTime> last_sample_at_;

@@ -1,14 +1,8 @@
-// End-to-end determinism of the raw-speed substrate, in two directions:
-//
-//  1. Parallel sweep == serial sweep. A chaos sweep farmed over worker
-//     threads must produce, per seed, the bit-identical trace and
-//     ScenarioResult a serial sweep produces -- that equivalence is what
-//     makes STREAMHA_SWEEP_WORKERS=1 a sound bisect knob (docs/TESTING.md)
-//     and parallel CI sweeps trustworthy.
-//  2. Batched delivery == per-message delivery. The network's same-link
-//     delivery coalescing (Network::Params::batchedDelivery) must be
-//     invisible: bit-identical traces and results under loss, duplication,
-//     jitter, partitions and a crash.
+// End-to-end determinism of the raw-speed substrate: a chaos sweep farmed
+// over worker threads must produce, per seed, the bit-identical trace and
+// ScenarioResult a serial sweep produces -- that equivalence is what makes
+// STREAMHA_SWEEP_WORKERS=1 a sound bisect knob (docs/TESTING.md) and
+// parallel CI sweeps trustworthy.
 //
 // This file carries the `integration` label on purpose: the TSan CI job runs
 // `ctest -LE chaos`, so the parallel runner is raced under the sanitizer
@@ -81,25 +75,6 @@ TEST(SweepDeterminism, ParallelSweepIsBitIdenticalToSerialPerSeed) {
   const std::vector<std::string> mismatches = harness::serialCrossCheck(
       seeds, outcomes, determinismParams, tracedOpts(), seeds);
   EXPECT_TRUE(mismatches.empty()) << mismatches.front();
-}
-
-TEST(SweepDeterminism, BatchedDeliveryIsTraceIdenticalToPerMessageDelivery) {
-  for (std::uint64_t seed : {5ull, 9ull}) {
-    ScenarioParams batched = determinismParams(seed);
-    batched.batchedNetworkDelivery = true;
-    ScenarioParams legacy = determinismParams(seed);
-    legacy.batchedNetworkDelivery = false;
-
-    const harness::ChaosOutcome a =
-        harness::runChaosScenario(batched, tracedOpts());
-    const harness::ChaosOutcome b =
-        harness::runChaosScenario(legacy, tracedOpts());
-
-    ASSERT_FALSE(a.trace.empty()) << "seed " << seed;
-    EXPECT_EQ(a.trace, b.trace) << "seed " << seed;
-    EXPECT_EQ(a.resultFingerprint, b.resultFingerprint) << "seed " << seed;
-    EXPECT_EQ(a.oracle.ok, b.oracle.ok) << "seed " << seed;
-  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -249,26 +250,22 @@ TEST_F(NetFixture, FaultHookDuplicatesAndDelays) {
 
 // -- Batched same-link delivery ----------------------------------------------
 //
-// Network::Params::batchedDelivery (the default) coalesces back-to-back
-// same-instant deliveries on one link into a single scheduled event. The
-// tests below assert the two contracts that make the toggle safe: the
-// coalescing actually happens (fewer simulator events), and it is observably
-// identical to the per-message path -- same delivery times and order, same
-// per-element fault/crash evaluation, same counters.
+// The network coalesces back-to-back same-instant deliveries on one link into
+// a single scheduled pump event. Each delivery still carries the simulator
+// rank reserved when it was sent, so the batching is invisible: the tests
+// below pin the delivery contract directly.
 
-Network::Params fastLink(bool batched) {
+Network::Params fastLink() {
   Network::Params p;
   p.latency = 100;
   p.bytesPerMicro = 125.0;
-  p.batchedDelivery = batched;
   return p;
 }
 
-/// An independent simulator + network pair, so the batched and per-message
-/// configurations can replay one script side by side.
+/// A simulator + network pair with controllable liveness of machines 0, 1.
 struct Rig {
-  explicit Rig(bool batched)
-      : net(sim, fastLink(batched),
+  Rig()
+      : net(sim, fastLink(),
             [this](MachineId id) { return id == 0 ? up0 : up1; }) {}
   Simulator sim;
   bool up0 = true;
@@ -276,63 +273,98 @@ struct Rig {
   Network net;
 };
 
-TEST(BatchedDelivery, SameInstantRunFiresAsOneScheduledEvent) {
-  Rig batched(true);
-  Rig legacy(false);
-  for (Rig* r : {&batched, &legacy}) {
-    // Zero-byte control messages: no transmit time, so all four arrive at
-    // the same instant with consecutive delivery ranks.
-    for (int i = 0; i < 4; ++i) {
-      r->net.send(0, 1, MsgKind::kControl, 0, 0, [] {});
-    }
-    r->sim.runAll();
-  }
-  EXPECT_EQ(batched.sim.firedEvents(), 1u);
-  EXPECT_EQ(legacy.sim.firedEvents(), 4u);
+/// A fault hook replaying `decisions` in send order (defaults past the end);
+/// counts its calls in `*calls`.
+Network::FaultFn scriptedFaults(std::vector<Network::FaultDecision> decisions,
+                                std::shared_ptr<int> calls) {
+  return [decisions = std::move(decisions), calls](MachineId, MachineId,
+                                                   MsgKind, std::size_t) {
+    const auto i = static_cast<std::size_t>((*calls)++);
+    return i < decisions.size() ? decisions[i] : Network::FaultDecision{};
+  };
 }
 
-TEST(BatchedDelivery, MatchesPerMessagePathUnderDropDuplicateAndDelayFaults) {
-  // A deterministic per-call fault mix: both rigs see the same decision
-  // sequence because the hook fires once per send() in either mode.
-  auto makeFaultHook = [] {
-    auto counter = std::make_shared<int>(0);
-    return [counter](MachineId, MachineId, MsgKind, std::size_t) {
-      const int i = (*counter)++;
-      Network::FaultDecision d;
-      if (i % 5 == 2) d.drop = true;
-      if (i % 7 == 3) d.duplicates = 2;
-      if (i % 3 == 1) d.extraDelay = 40;
-      return d;
-    };
+TEST(BatchedDelivery, SameInstantRunFiresAsOneScheduledEvent) {
+  Rig rig;
+  std::vector<SimTime> at;
+  // Zero-byte control messages: no transmit time, so all four arrive at the
+  // same instant with consecutive delivery ranks.
+  for (int i = 0; i < 4; ++i) {
+    rig.net.send(0, 1, MsgKind::kControl, 0, 0,
+                 [&] { at.push_back(rig.sim.now()); });
+  }
+  rig.sim.runAll();
+  EXPECT_EQ(at, (std::vector<SimTime>{100, 100, 100, 100}));
+  EXPECT_EQ(rig.sim.firedEvents(), 1u);
+}
+
+TEST(BatchedDelivery, DeliveriesLandInArrivalThenSendOrderWithDuplicatesAdjacent) {
+  Rig rig;
+  auto calls = std::make_shared<int>(0);
+  Network::FaultDecision tripled;
+  tripled.duplicates = 2;
+  Network::FaultDecision late;
+  late.extraDelay = 50;
+  rig.net.setFault(scriptedFaults({{}, {}, {}, tripled, late}, calls));
+  std::vector<std::pair<int, SimTime>> log;
+  auto sendAs = [&](int id, std::size_t bytes) {
+    rig.net.send(0, 1, MsgKind::kData, bytes, 1,
+                 [&log, &rig, id] { log.emplace_back(id, rig.sim.now()); });
   };
-  auto script = [&](Rig& r, std::vector<std::pair<int, SimTime>>& log) {
-    r.net.setFault(makeFaultHook());
-    int id = 0;
-    for (int i = 0; i < 12; ++i) {
-      const std::uint64_t bytes = static_cast<std::uint64_t>(i % 4) * 625;
-      const int fwd = id++;
-      r.net.send(0, 1, MsgKind::kData, bytes, 1,
-                 [&log, &r, fwd] { log.emplace_back(fwd, r.sim.now()); });
-      const int back = id++;
-      r.net.send(1, 0, MsgKind::kAck, 64, 0,
-                 [&log, &r, back] { log.emplace_back(back, r.sim.now()); });
-    }
-    r.sim.runAll();
-  };
-  Rig batched(true);
-  Rig legacy(false);
-  std::vector<std::pair<int, SimTime>> a;
-  std::vector<std::pair<int, SimTime>> b;
-  script(batched, a);
-  script(legacy, b);
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(batched.net.counters().totalMessages(),
-            legacy.net.counters().totalMessages());
+  sendAs(0, 0);     // Arrives at 100.
+  sendAs(1, 1250);  // 10 us on the wire: arrives at 110, link free at 10.
+  sendAs(2, 0);     // Queued behind 1: arrives at 110.
+  sendAs(3, 0);     // Arrives at 110, plus two duplicate copies.
+  sendAs(4, 0);     // Jittered: sent before 5 but arrives at 160.
+  sendAs(5, 0);     // Arrives at 110.
+  rig.sim.runAll();
+  const std::vector<std::pair<int, SimTime>> expected = {
+      {0, 100}, {1, 110}, {2, 110}, {3, 110},
+      {3, 110}, {3, 110}, {5, 110}, {4, 160}};
+  EXPECT_EQ(log, expected);
+}
+
+TEST(BatchedDelivery, ForeignEventBetweenTwoSameInstantSendsFiresBetweenThem) {
+  Rig rig;
+  std::vector<std::string> log;
+  rig.net.send(0, 1, MsgKind::kControl, 0, 0, [&] { log.push_back("a"); });
+  rig.sim.scheduleAt(100, [&] { log.push_back("foreign"); });
+  rig.net.send(0, 1, MsgKind::kControl, 0, 0, [&] { log.push_back("b"); });
+  rig.sim.runAll();
+  EXPECT_EQ(log, (std::vector<std::string>{"a", "foreign", "b"}));
+  // The foreign event's rank splits the run: pump, foreign event, pump.
+  EXPECT_EQ(rig.sim.firedEvents(), 3u);
+}
+
+TEST(BatchedDelivery, DropDuplicateAndDelayAreDecidedPerMessage) {
+  Rig rig;
+  auto calls = std::make_shared<int>(0);
+  Network::FaultDecision drop;
+  drop.drop = true;
+  Network::FaultDecision dup;
+  dup.duplicates = 1;
+  Network::FaultDecision delay;
+  delay.extraDelay = 40;
+  rig.net.setFault(scriptedFaults({{}, drop, dup, delay}, calls));
+  std::vector<std::pair<int, SimTime>> log;
+  for (int id = 0; id < 4; ++id) {
+    rig.net.send(0, 1, MsgKind::kData, 0, 1,
+                 [&log, &rig, id] { log.emplace_back(id, rig.sim.now()); });
+  }
+  rig.sim.runAll();
+  EXPECT_EQ(*calls, 4);  // One verdict per send.
+  const std::vector<std::pair<int, SimTime>> expected = {
+      {0, 100}, {2, 100}, {2, 100}, {3, 140}};
+  EXPECT_EQ(log, expected);
+  // The dropped message reserved no rank, so 0 and both copies of 2 still
+  // form one same-instant run; the delayed message fires on its own.
+  EXPECT_EQ(rig.sim.firedEvents(), 2u);
+  // Every send is counted, dropped or not; duplicates are not extra sends.
+  EXPECT_EQ(rig.net.counters().messagesOf(MsgKind::kData), 4u);
 }
 
 TEST(BatchedDelivery, CrashDuringCoalescedRunSuppressesRemainingDeliveries) {
-  Rig rig(true);
+  Rig rig;
   int delivered = 0;
   // Both messages land in one coalesced run; the first delivery takes the
   // destination down, so the second must be re-checked and suppressed.
@@ -343,31 +375,24 @@ TEST(BatchedDelivery, CrashDuringCoalescedRunSuppressesRemainingDeliveries) {
   rig.net.send(0, 1, MsgKind::kData, 0, 1, [&] { ++delivered; });
   rig.sim.runAll();
   EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(rig.sim.firedEvents(), 1u);
 }
 
-TEST(BatchedDelivery, ReentrantSendFromDeliveryCallbackMatchesLegacy) {
-  auto script = [](Rig& r, std::vector<SimTime>& log) {
-    r.net.send(0, 1, MsgKind::kData, 0, 1, [&log, &r] {
-      log.push_back(r.sim.now());
-      // Send on the same link from inside the delivery run.
-      r.net.send(0, 1, MsgKind::kData, 0, 1,
-                 [&log, &r] { log.push_back(r.sim.now()); });
-    });
-    r.net.send(0, 1, MsgKind::kData, 0, 1,
-               [&log, &r] { log.push_back(r.sim.now()); });
-    r.sim.runAll();
-  };
-  Rig batched(true);
-  Rig legacy(false);
-  std::vector<SimTime> a;
-  std::vector<SimTime> b;
-  script(batched, a);
-  script(legacy, b);
-  EXPECT_EQ(a, b);
-  ASSERT_EQ(a.size(), 3u);
-  EXPECT_EQ(a[0], 100);
-  EXPECT_EQ(a[1], 100);  // The same-instant neighbor stays in the run.
-  EXPECT_EQ(a[2], 200);  // The reentrant message takes a fresh latency hop.
+TEST(BatchedDelivery, ReentrantSendFromDeliveryCallbackTakesFreshHop) {
+  Rig rig;
+  std::vector<SimTime> at;
+  rig.net.send(0, 1, MsgKind::kData, 0, 1, [&] {
+    at.push_back(rig.sim.now());
+    // Send on the same link from inside the delivery run.
+    rig.net.send(0, 1, MsgKind::kData, 0, 1,
+                 [&] { at.push_back(rig.sim.now()); });
+  });
+  rig.net.send(0, 1, MsgKind::kData, 0, 1, [&] { at.push_back(rig.sim.now()); });
+  rig.sim.runAll();
+  ASSERT_EQ(at.size(), 3u);
+  EXPECT_EQ(at[0], 100);
+  EXPECT_EQ(at[1], 100);  // The same-instant neighbor stays in the run.
+  EXPECT_EQ(at[2], 200);  // The reentrant message takes a fresh latency hop.
 }
 
 TEST_F(NetFixture, MsgKindNames) {
