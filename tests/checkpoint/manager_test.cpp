@@ -276,6 +276,145 @@ TEST(CheckpointManager, LateConfirmCannotRetireANewerAttempt) {
   EXPECT_EQ(s.sink().highestSeq(sinkStream), s.source().generatedCount());
 }
 
+// ---------------------------------------------------------------------------
+// Ack-release fences: a checkpoint whose confirm lands durable but must still
+// release nothing upstream (docs/PROTOCOL.md, "The ack rule").
+// ---------------------------------------------------------------------------
+
+/// A hand-built primary subjob whose PEs each consume their own input stream
+/// (9, 11, ...) and record every ack they send upstream, plus a standby store
+/// on a second machine.
+struct FenceRig {
+  Simulator sim;
+  Network net{sim, Network::Params{}, [](MachineId) { return true; }};
+  Rng rng{3};
+  Machine machine{sim, 0, rng.fork(0)};
+  Machine storeMachine{sim, 1, rng.fork(1)};
+  Subjob subjob{sim, machine, 0, Replica::kPrimary};
+  StateStore store{sim, storeMachine};
+  std::vector<std::pair<StreamId, ElementSeq>> acks;
+
+  /// One PE per entry of `stateBytes`, each fed `elements` elements and run
+  /// until it has processed them.
+  explicit FenceRig(std::vector<std::size_t> stateBytes,
+                    ElementSeq elements = 10) {
+    for (std::size_t i = 0; i < stateBytes.size(); ++i) {
+      const auto in = static_cast<StreamId>(9 + 2 * i);
+      PeParams params;
+      params.logicalId = static_cast<LogicalPeId>(i);
+      params.outputStreams = {in + 1};
+      auto& pe = subjob.addPe(std::make_unique<PeInstance>(
+          sim, machine, net, std::move(params),
+          std::make_unique<SyntheticLogic>(1.0, stateBytes[i])));
+      pe.input().subscribe(in);
+      pe.input().addUpstream(in, [this](StreamId stream, ElementSeq seq) {
+        acks.emplace_back(stream, seq);
+      });
+      std::vector<Element> batch;
+      for (ElementSeq seq = 1; seq <= elements; ++seq) {
+        Element e;
+        e.stream = in;
+        e.seq = seq;
+        batch.push_back(e);
+      }
+      pe.input().receive(batch);
+    }
+    sim.runUntil(100 * kMillisecond);
+  }
+
+  CheckpointManager::Params cmParams(SimDuration confirmTimeout = 0) const {
+    CheckpointManager::Params p;
+    p.interval = 10 * kSecond;  // No interval checkpoint interferes.
+    p.confirmTimeout = confirmTimeout;
+    return p;
+  }
+};
+
+TEST(CheckpointManagerFence, PerPeConfirmAfterAtomicEpochBumpReleasesNothing) {
+  // Control: the same per-PE checkpoint, unfenced, releases its acks.
+  {
+    FenceRig rig({64});
+    SweepingCheckpointManager cm(rig.sim, rig.net, rig.subjob, rig.store,
+                                 rig.cmParams());
+    cm.checkpointAllNow(nullptr);
+    rig.sim.runUntil(kSecond);
+    ASSERT_EQ(cm.stats().checkpoints, 1u);
+    EXPECT_EQ(rig.acks,
+              (std::vector<std::pair<StreamId, ElementSeq>>{{9, 10}}));
+  }
+  FenceRig rig({64});
+  SweepingCheckpointManager cm(rig.sim, rig.net, rig.subjob, rig.store,
+                               rig.cmParams());
+  cm.checkpointAllNow(nullptr);  // Per-PE pipeline now in flight.
+  ASSERT_TRUE(cm.checkpointInFlight(rig.subjob.pe(0)));
+  bool atomicDone = false;
+  // The rollback re-persist bumps the ack epoch. Its own pipeline cannot
+  // start (the PE is busy), so its barrier tears as well.
+  cm.checkpointAllNow([&] { atomicDone = true; }, /*atomic=*/true);
+  EXPECT_TRUE(atomicDone);
+  rig.sim.runUntil(kSecond);
+  EXPECT_EQ(cm.stats().checkpoints, 1u);  // The old confirm did land...
+  EXPECT_FALSE(rig.store.latest(0).empty());
+  EXPECT_TRUE(rig.acks.empty());          // ...but released nothing.
+}
+
+TEST(CheckpointManagerFence, GroupedConfirmAfterAtomicEpochBumpReleasesNothing) {
+  // Steps the run until the synchronous (grouped) checkpoint's confirm lands
+  // and returns the acks sent by then. With `fence`, an atomic re-persist
+  // starts while the grouped checkpoint is in flight.
+  auto acksAtGroupedConfirm = [](bool fence) {
+    FenceRig rig({64, 64});
+    TraceRecorder trace;
+    rig.net.setTrace(&trace);
+    CheckpointManager::Params params = rig.cmParams();
+    params.interval = 200 * kMillisecond;
+    SynchronousCheckpointManager cm(rig.sim, rig.net, rig.subjob, rig.store,
+                                    params);
+    cm.start();
+    rig.sim.runUntil(300 * kMillisecond + 1);  // Grouped checkpoint begun.
+    EXPECT_EQ(cm.stats().checkpoints, 0u);
+    if (fence) cm.checkpointAllNow(nullptr, /*atomic=*/true);
+    while (cm.stats().checkpoints == 0 && rig.sim.step()) {
+    }
+    // The first confirm to land is the grouped one (value 0), not one of the
+    // re-persist's per-PE pipelines.
+    const TraceEvent* end = nullptr;
+    for (const TraceEvent& ev : trace.events()) {
+      if (ev.type == TraceEventType::kCheckpointEnd) end = &ev;
+    }
+    EXPECT_NE(end, nullptr);
+    EXPECT_EQ(end != nullptr ? end->value : 1u, 0u);
+    cm.stop();
+    return rig.acks.size();
+  };
+  EXPECT_EQ(acksAtGroupedConfirm(false), 2u);  // Control: one per PE.
+  EXPECT_EQ(acksAtGroupedConfirm(true), 0u);
+}
+
+TEST(CheckpointManagerFence, AtomicBarrierWithATimedOutRePersistReleasesNothing) {
+  // PE 0's small state confirms well inside the timeout; PE 1's 1 MB state
+  // takes ~13 ms to serialize and ship, so its attempt times out at 2 ms.
+  auto run = [](SimDuration confirmTimeout) {
+    FenceRig rig({64, 1 << 20});
+    SweepingCheckpointManager cm(rig.sim, rig.net, rig.subjob, rig.store,
+                                 rig.cmParams(confirmTimeout));
+    bool done = false;
+    cm.checkpointAllNow([&] { done = true; }, /*atomic=*/true);
+    rig.sim.runUntil(kSecond);
+    EXPECT_TRUE(done);
+    EXPECT_EQ(cm.stats().checkpoints, 2u);  // Both confirms landed durable.
+    EXPECT_EQ(cm.inFlightCheckpoints(), 0u);
+    return std::make_pair(rig.acks.size(), cm.stats().staleConfirms);
+  };
+  // Control: without the timeout both re-persists confirm and the barrier
+  // flushes every PE's acks at once.
+  EXPECT_EQ(run(0), std::make_pair(std::size_t{2}, std::uint64_t{0}));
+  // With it, PE 1's late confirm is stale and the torn barrier withholds PE
+  // 0's parked acks as well.
+  EXPECT_EQ(run(2 * kMillisecond), std::make_pair(std::size_t{0},
+                                                  std::uint64_t{1}));
+}
+
 TEST(SubjobQuiescer, PausesAllAndReleases) {
   Scenario s(baseParams(CheckpointKind::kSweeping));
   s.build();

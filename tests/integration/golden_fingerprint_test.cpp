@@ -2,8 +2,11 @@
 // reaches: flap damping, fail-stop promotion with and without a spare,
 // consecutive fail-stops, standby redeploy and membership drain, PS
 // migration, AS replacement, the no-pre-deploy ablation, domain-loss
-// re-provisioning, and one chaos seed under loss, duplicates, jitter and a
-// partition.
+// re-provisioning, one chaos seed under loss, duplicates, jitter and a
+// partition, and the checkpoint pipelines no workload runs: the synchronous
+// and individual managers through a switchover and rollback, PS onto a disk
+// store, and a delta/tiered chaos seed with stale deltas, base misses and
+// stale confirms.
 //
 // Each test runs one short scripted scenario (at most 12 simulated seconds,
 // drain included) with tracing on, and pins two digests: stableHash of the
@@ -36,11 +39,13 @@ using Windows = std::vector<std::pair<SimTime, SimTime>>;
 
 /// Scripted run: build, start, replay CPU spikes on `spikeMachine` (if any),
 /// let `script` schedule crashes and churn, run `duration`, drain for
-/// `drainGrace`, collect. Returns the same digests a ChaosOutcome carries.
+/// `drainGrace`, collect, then let `inspect` read the finished scenario.
+/// Returns the same digests a ChaosOutcome carries.
 harness::ChaosOutcome runScripted(
     ScenarioParams p, SimDuration drainGrace,
     const std::function<void(Scenario&)>& script = nullptr,
-    MachineId spikeMachine = kNoMachine, const Windows& spikes = {}) {
+    MachineId spikeMachine = kNoMachine, const Windows& spikes = {},
+    const std::function<void(Scenario&)>& inspect = nullptr) {
   p.trace.enabled = true;
   Scenario s(std::move(p));
   s.build();
@@ -62,6 +67,7 @@ harness::ChaosOutcome runScripted(
   out.oracle = harness::checkExactlyOnceInOrder(s, out.result);
   out.resultFingerprint = fingerprintResult(out.result);
   out.trace = harness::traceJsonl(s);
+  if (inspect) inspect(s);
   return out;
 }
 
@@ -303,6 +309,82 @@ TEST(GoldenFingerprint, ChaosSeedUnderLossDuplicatesJitterAndPartition) {
   EXPECT_GT(out.faults.duplicates, 0u);
   EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
   expectPins(out, 0x10b994b598860910ULL, 0x7068f76ae545d85fULL);
+}
+
+// -- Checkpoint pipeline paths no workload runs -------------------------------
+
+/// Hybrid with a conventional checkpoint manager, one spike window on the
+/// protected primary: switchover, then rollback with Read State.
+harness::ChaosOutcome runConventionalHybrid(CheckpointKind kind) {
+  ScenarioParams p = hybridParams(91);
+  p.checkpointKind = kind;
+  p.duration = 8 * kSecond;
+  return runScripted(p, 2 * kSecond, nullptr, 2,
+                     {{2 * kSecond, 4 * kSecond}});
+}
+
+TEST(GoldenFingerprint, SynchronousCheckpointsThroughSwitchoverAndRollback) {
+  const harness::ChaosOutcome out =
+      runConventionalHybrid(CheckpointKind::kSynchronous);
+  EXPECT_GE(out.result.switchovers, 1u);
+  EXPECT_GE(out.result.rollbacks, 1u);
+  EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
+  expectPins(out, 0x9c69b4b3905c1da6ULL, 0x8ae436fa29912308ULL);
+}
+
+TEST(GoldenFingerprint, IndividualCheckpointsThroughSwitchoverAndRollback) {
+  const harness::ChaosOutcome out =
+      runConventionalHybrid(CheckpointKind::kIndividual);
+  EXPECT_GE(out.result.switchovers, 1u);
+  EXPECT_GE(out.result.rollbacks, 1u);
+  EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
+  expectPins(out, 0x9c01c4e94059b938ULL, 0x66805f6ee8b6d889ULL);
+}
+
+TEST(GoldenFingerprint, PassiveStandbyDiskStoreMigratesOnCrash) {
+  ScenarioParams p = failstopParams(HaMode::kPassiveStandby, false);
+  p.store.persistToDisk = true;
+  const harness::ChaosOutcome out = runScripted(
+      p, 3 * kSecond, [](Scenario& s) { crashAt(s, 2, 2 * kSecond); });
+  EXPECT_EQ(out.result.recovery.count, 1u);
+  EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
+  expectPins(out, 0xd498b7786a433936ULL, 0xe3287e682cb31779ULL);
+}
+
+TEST(GoldenFingerprint, DeltaTieredChaosSeedWithStaleAndMissedDeltas) {
+  ScenarioParams p;
+  p.mode = HaMode::kHybrid;
+  p.protectedSubjobs = {1, 2, 3};
+  p.provisionSpares = true;
+  p.failStopAfter = 3 * kSecond;
+  p.duration = 10 * kSecond;
+  p.seed = 63;
+  p.stateBytes = 2048;
+  p.stateKeyBytes = 64;
+  p.store.delta.enabled = true;
+  p.store.delta.compactEveryRuns = 4;
+  p.store.tiered = true;
+  harness::ChaosProfile profile;
+  profile.restartCrashed = true;
+  profile.maxDuplicateProb = 0.05;
+  p.faults = harness::makeChaosPlan(p, profile, p.seed).schedule;
+  p.faultSeedSalt = p.seed;
+  std::uint64_t staleConfirms = 0;
+  const harness::ChaosOutcome out =
+      runScripted(p, 2 * kSecond, nullptr, kNoMachine, {}, [&](Scenario& s) {
+        for (HaCoordinator* c : s.coordinators()) {
+          if (CheckpointManager* cm = c->checkpointManager()) {
+            staleConfirms += cm->stats().staleConfirms;
+          }
+        }
+      });
+  // The pin provably covers the delta store's stale and base-miss outcomes
+  // and the manager's stale-confirm path.
+  EXPECT_GT(out.result.state.staleDeltaDrops, 0u);
+  EXPECT_GT(out.result.state.baseMisses, 0u);
+  EXPECT_GT(staleConfirms, 0u);
+  EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
+  expectPins(out, 0x73b23e57af9e8c89ULL, 0x7eb11dfe00df5bb0ULL);
 }
 
 }  // namespace
