@@ -1,13 +1,18 @@
 #include "checkpoint/manager.hpp"
 
 #include <cassert>
-#include <cmath>
+#include <optional>
 
 #include "trace/recorder.hpp"
 
 namespace streamha {
 
 namespace {
+
+/// Simulated CPU cost of serializing one KB of checkpoint payload.
+constexpr double kSerializeWorkUsPerKb = 5.0;
+/// Wire size of the store's durable-confirm message.
+constexpr std::size_t kConfirmBytes = 64;
 
 // `value` carries the logical PE id + 1; 0 means a grouped whole-subjob
 // checkpoint. The exporter uses the value to pair Begin/End when several PE
@@ -85,10 +90,7 @@ void CheckpointManager::checkpointPe(PeInstance& pe, std::function<void()> done,
                   [this, peGuard, token, finished, doneShared] {
                     if (*finished) return;
                     *finished = true;
-                    auto it = in_progress_.find(peGuard);
-                    if (it != in_progress_.end() && it->second == token) {
-                      in_progress_.erase(it);
-                    }
+                    retireAttempt(peGuard, token);
                     if (*doneShared) (*doneShared)();
                   });
   }
@@ -102,202 +104,152 @@ void CheckpointManager::checkpointPe(PeInstance& pe, std::function<void()> done,
     PeState state = pePtr->checkpoint(true, includesInputQueues());
     pePtr->resume();
     stats_.pauseMs.add(toMillis(sim_.now() - started));
-    shipState(pePtr, std::move(state), started, token, done, barrier,
-              ackEpoch);
+    shipPe(pePtr, std::move(state), started, token, done, barrier, ackEpoch);
   };
   pe.pause(*this);
 }
 
-void CheckpointManager::shipState(PeInstance* pe, PeState state,
-                                  SimTime startedAt, std::uint64_t token,
-                                  std::function<void()> done,
-                                  std::shared_ptr<AckBarrier> barrier,
-                                  std::uint64_t ackEpoch) {
-  if (store_.deltaEnabled()) {
-    shipDelta(pe, std::move(state), startedAt, token, std::move(done),
-              std::move(barrier), ackEpoch);
-    return;
-  }
-  const std::uint64_t bytes = state.sizeBytes();
-  const std::uint64_t elements = state.sizeElements(params_.bytesPerElement);
-  const double serializeWork =
-      params_.serializeWorkUsPerKb * static_cast<double>(bytes) / 1024.0;
-  Machine& machine = subjob_.machine();
-  const MachineId srcMachine = machine.id();
+void CheckpointManager::ship(std::uint64_t bytes, std::uint64_t elements,
+                             std::uint64_t traceValue, SimTime startedAt,
+                             Land land, std::function<void()> confirmed) {
+  const MachineId srcMachine = subjob_.machine().id();
   const MachineId storeMachine = store_.machine().id();
-  const SubjobId subjobId = subjob_.logicalId();
-  // Acks released once durable: sweeping acks the processed watermark;
-  // conventional variants may ack the received watermark (their checkpoint
-  // persisted the input backlog too).
-  const std::map<StreamId, ElementSeq> acks =
-      includesInputQueues() ? state.receivedWatermark
-                            : state.processedWatermark;
-  machine.submitData(serializeWork, [this, pe, state = std::move(state),
-                                     bytes, elements, srcMachine, storeMachine,
-                                     subjobId, acks, startedAt, token, barrier,
-                                     ackEpoch,
-                                     done = std::move(done)]() mutable {
+  const double serializeWork =
+      kSerializeWorkUsPerKb * static_cast<double>(bytes) / 1024.0;
+  // Every hop moves the payload and the confirm tail along: nothing here
+  // copies a state (an injected duplicate copies its own closure).
+  subjob_.machine().submitData(serializeWork, [this, bytes, elements,
+                                               traceValue, startedAt,
+                                               srcMachine, storeMachine,
+                                               land = std::move(land),
+                                               confirmed = std::move(
+                                                   confirmed)]() mutable {
     // Ship and confirm ride the reliable control-plane path: under a lossy
     // network both legs are retried until acked (plain send when ARQ is off).
     net_.sendReliable(
         srcMachine, storeMachine, MsgKind::kCheckpoint, bytes, elements,
-        [this, pe, state = std::move(state), bytes, elements, srcMachine,
-         storeMachine, subjobId, acks, startedAt, token, barrier, ackEpoch,
-         done = std::move(done)]() mutable {
-          store_.storePeState(
-              subjobId, state,
-              [this, pe, bytes, elements, srcMachine, storeMachine, acks,
-               startedAt, token, barrier, ackEpoch, done = std::move(done)] {
-                // Durable: confirm back to the primary, then release
-                // the accumulative acks upstream.
-                net_.sendReliable(
-                    storeMachine, srcMachine, MsgKind::kControl,
-                    params_.confirmBytes, 0,
-                    [this, pe, bytes, elements, srcMachine, acks, startedAt,
-                     token, barrier, ackEpoch, done = std::move(done)] {
-                      stats_.checkpoints += 1;
-                      stats_.bytes += bytes;
-                      stats_.elements += elements;
-                      stats_.latencyMs.add(toMillis(sim_.now() - startedAt));
-                      recordCheckpointEvent(
-                          net_.trace(), TraceEventType::kCheckpointEnd,
-                          sim_.now(), srcMachine, subjob_.logicalId(),
-                          static_cast<std::uint64_t>(pe->logicalId()) + 1,
-                          bytes);
-                      // Only the attempt that started this pipeline may
-                      // retire the in-flight entry: a confirm arriving after
-                      // its confirm-timeout abandoned the attempt finds a
-                      // newer token (or none) and must leave it alone.
-                      auto it = in_progress_.find(pe);
-                      if (it != in_progress_.end() && it->second == token) {
-                        in_progress_.erase(it);
-                      } else {
-                        stats_.staleConfirms += 1;
-                      }
-                      // A fenced (stopped) manager must not advance upstream
-                      // trim points anymore, and neither may a pipeline whose
-                      // ack epoch a rollback re-persist has since outdated.
-                      if (!stopped_ && !pe->terminated() &&
-                          ackEpoch == ack_epoch_) {
-                        if (barrier == nullptr) {
-                          pe->flushAcks(acks);
-                        } else if (!barrier->resolved) {
-                          barrier->held.emplace_back(pe, acks);
-                        }
-                      }
-                      if (done) done();
-                    });
-              });
+        [this, bytes, elements, traceValue, startedAt, srcMachine,
+         storeMachine, land = std::move(land),
+         confirmed = std::move(confirmed)]() mutable {
+          land([this, bytes, elements, traceValue, startedAt, srcMachine,
+                storeMachine, confirmed = std::move(confirmed)]() mutable {
+            // Durable: confirm back to the primary.
+            net_.sendReliable(
+                storeMachine, srcMachine, MsgKind::kControl, kConfirmBytes, 0,
+                [this, bytes, elements, traceValue, startedAt, srcMachine,
+                 confirmed = std::move(confirmed)] {
+                  stats_.checkpoints += 1;
+                  stats_.bytes += bytes;
+                  stats_.elements += elements;
+                  stats_.latencyMs.add(toMillis(sim_.now() - startedAt));
+                  recordCheckpointEvent(net_.trace(),
+                                        TraceEventType::kCheckpointEnd,
+                                        sim_.now(), srcMachine,
+                                        subjob_.logicalId(), traceValue,
+                                        bytes);
+                  confirmed();
+                });
+          });
         });
   });
 }
 
-void CheckpointManager::shipDelta(PeInstance* pe, PeState state,
-                                  SimTime startedAt, std::uint64_t token,
-                                  std::function<void()> done,
-                                  std::shared_ptr<AckBarrier> barrier,
-                                  std::uint64_t ackEpoch) {
-  const PeState* base = nullptr;
-  const auto baseIt = delta_base_.find(pe->logicalId());
-  if (baseIt != delta_base_.end()) base = &baseIt->second;
-  PeStateDelta delta =
-      encodeDelta(base, state, store_.deltaParams().chunkBytes);
-  const std::uint64_t fullBytes = state.sizeBytes();
-  const std::uint64_t bytes = delta.sizeBytes();
-  const std::uint64_t elements = delta.sizeElements(params_.bytesPerElement);
-  // The simulated serialization CPU cost scales with the delta, not the full
-  // state: it models a keyed runtime that knows its dirty chunks from write
-  // tracking. The simulator itself finds them by diffing the whole blob.
-  const double serializeWork =
-      params_.serializeWorkUsPerKb * static_cast<double>(bytes) / 1024.0;
-  Machine& machine = subjob_.machine();
-  const MachineId srcMachine = machine.id();
-  const MachineId storeMachine = store_.machine().id();
+void CheckpointManager::shipPe(PeInstance* pe, PeState state,
+                               SimTime startedAt, std::uint64_t token,
+                               std::function<void()> done,
+                               std::shared_ptr<AckBarrier> barrier,
+                               std::uint64_t ackEpoch) {
   const SubjobId subjobId = subjob_.logicalId();
-  const std::map<StreamId, ElementSeq> acks =
-      includesInputQueues() ? state.receivedWatermark
-                            : state.processedWatermark;
-  StateTelemetry& telemetry = store_.telemetry();
-  telemetry.deltaShips += 1;
-  telemetry.deltaShipBytes += bytes;
-  telemetry.deltaFullBytes += fullBytes;
-  telemetry.deltaChunksShipped += delta.chunks.size();
-  if (net_.trace() != nullptr) {
-    TraceEvent ev;
-    ev.type = TraceEventType::kDeltaShip;
-    ev.at = sim_.now();
-    ev.machine = srcMachine;
-    ev.peer = storeMachine;
-    ev.subjob = subjobId;
-    ev.value = bytes;
-    ev.aux = fullBytes;
-    net_.trace()->record(ev);
+  Acks acks = ackWatermarks(state);
+  std::uint64_t bytes = 0;
+  std::uint64_t elements = 0;
+  Land land;
+  // Delta mode: the shipped state, which becomes the next delta's base once
+  // the store confirms it.
+  std::optional<PeState> base;
+  if (store_.deltaEnabled()) {
+    // Diff against the last confirmed base; ship only the changed chunks.
+    const auto baseIt = delta_base_.find(pe->logicalId());
+    PeStateDelta delta =
+        encodeDelta(baseIt == delta_base_.end() ? nullptr : &baseIt->second,
+                    state, store_.deltaParams().chunkBytes);
+    const std::uint64_t fullBytes = state.sizeBytes();
+    // The simulated serialization CPU cost scales with the delta, not the
+    // full state: it models a keyed runtime that knows its dirty chunks from
+    // write tracking. The simulator itself finds them by diffing the blob.
+    bytes = delta.sizeBytes();
+    elements = delta.sizeElements();
+    StateTelemetry& telemetry = store_.telemetry();
+    telemetry.deltaShips += 1;
+    telemetry.deltaShipBytes += bytes;
+    telemetry.deltaFullBytes += fullBytes;
+    telemetry.deltaChunksShipped += delta.chunks.size();
+    if (net_.trace() != nullptr) {
+      TraceEvent ev;
+      ev.type = TraceEventType::kDeltaShip;
+      ev.at = sim_.now();
+      ev.machine = subjob_.machine().id();
+      ev.peer = store_.machine().id();
+      ev.subjob = subjobId;
+      ev.value = bytes;
+      ev.aux = fullBytes;
+      net_.trace()->record(ev);
+    }
+    // A base miss never confirms; the confirm-timeout retires the attempt.
+    land = [this, subjobId, delta = std::move(delta)](
+               std::function<void()> onDurable) {
+      store_.storePeDelta(subjobId, delta, std::move(onDurable));
+    };
+    base = std::move(state);
+  } else {
+    bytes = state.sizeBytes();
+    elements = state.sizeElements();
+    land = [this, subjobId, state = std::move(state)](
+               std::function<void()> onDurable) mutable {
+      store_.storePeState(subjobId, std::move(state), std::move(onDurable));
+    };
   }
-  machine.submitData(serializeWork, [this, pe, state = std::move(state),
-                                     delta = std::move(delta), bytes, elements,
-                                     srcMachine, storeMachine, subjobId, acks,
-                                     startedAt, token, barrier, ackEpoch,
-                                     done = std::move(done)]() mutable {
-    net_.sendReliable(
-        srcMachine, storeMachine, MsgKind::kCheckpoint, bytes, elements,
-        [this, pe, state = std::move(state), delta = std::move(delta), bytes,
-         elements, srcMachine, storeMachine, subjobId, acks, startedAt, token,
-         barrier, ackEpoch, done = std::move(done)]() mutable {
-          store_.storePeDelta(
-              subjobId, delta,
-              [this, pe, state = std::move(state), bytes, elements, srcMachine,
-               storeMachine, acks, startedAt, token, barrier, ackEpoch,
-               done = std::move(done)](bool covered) mutable {
-                // Covered (applied or stale-but-newer-held): confirm back to
-                // the primary, then release the accumulative acks. A base
-                // miss never reaches here -- no confirm, no acks; the
-                // confirm-timeout retires the attempt.
-                net_.sendReliable(
-                    storeMachine, srcMachine, MsgKind::kControl,
-                    params_.confirmBytes, 0,
-                    [this, pe, state = std::move(state), bytes, elements,
-                     srcMachine, acks, startedAt, token, covered, barrier,
-                     ackEpoch, done = std::move(done)]() mutable {
-                      stats_.checkpoints += 1;
-                      stats_.bytes += bytes;
-                      stats_.elements += elements;
-                      stats_.latencyMs.add(toMillis(sim_.now() - startedAt));
-                      recordCheckpointEvent(
-                          net_.trace(), TraceEventType::kCheckpointEnd,
-                          sim_.now(), srcMachine, subjob_.logicalId(),
-                          static_cast<std::uint64_t>(pe->logicalId()) + 1,
-                          bytes);
-                      // The confirmed state becomes the base the next delta
-                      // is encoded against. Advance even on a stale attempt
-                      // token: a late confirm still proves the store holds
-                      // this version, which is what un-sticks a shadow that
-                      // fell behind after a timeout abandonment. The state
-                      // moves into the shadow: every copy of this closure
-                      // (an injected duplicate copies it) owns its own
-                      // state, and each copy is invoked at most once.
-                      PeState& shadow = delta_base_[state.pe];
-                      if (shadow.version < state.version) {
-                        shadow = std::move(state);
-                      }
-                      auto it = in_progress_.find(pe);
-                      if (it != in_progress_.end() && it->second == token) {
-                        in_progress_.erase(it);
-                      } else {
-                        stats_.staleConfirms += 1;
-                      }
-                      if (covered && !stopped_ && !pe->terminated() &&
-                          ackEpoch == ack_epoch_) {
-                        if (barrier == nullptr) {
-                          pe->flushAcks(acks);
-                        } else if (!barrier->resolved) {
-                          barrier->held.emplace_back(pe, acks);
-                        }
-                      }
-                      if (done) done();
-                    });
-              });
-        });
-  });
+  ship(bytes, elements, static_cast<std::uint64_t>(pe->logicalId()) + 1,
+       startedAt, std::move(land),
+       [this, pe, token, acks = std::move(acks), ackEpoch,
+        barrier = std::move(barrier), done = std::move(done),
+        base = std::move(base)]() mutable {
+         // The confirmed state becomes the base the next delta is encoded
+         // against. Advance even on a stale attempt token: a late confirm
+         // still proves the store holds this version, which is what
+         // un-sticks a shadow that fell behind after a timeout abandonment.
+         // Each copy of this closure owns its state and runs at most once.
+         if (base) {
+           PeState& shadow = delta_base_[base->pe];
+           if (shadow.version < base->version) shadow = std::move(*base);
+         }
+         // A confirm arriving after its confirm-timeout abandoned the
+         // attempt finds a newer token (or none) and must leave it alone.
+         if (!retireAttempt(pe, token)) stats_.staleConfirms += 1;
+         releaseAcks(*pe, acks, ackEpoch, barrier.get());
+         if (done) done();
+       });
+}
+
+bool CheckpointManager::retireAttempt(PeInstance* pe, std::uint64_t token) {
+  auto it = in_progress_.find(pe);
+  if (it == in_progress_.end() || it->second != token) return false;
+  in_progress_.erase(it);
+  return true;
+}
+
+void CheckpointManager::releaseAcks(PeInstance& pe, const Acks& acks,
+                                    std::uint64_t ackEpoch,
+                                    AckBarrier* barrier) {
+  // A fenced (stopped) manager must not advance upstream trim points
+  // anymore, and neither may a pipeline whose ack epoch a rollback
+  // re-persist has since outdated.
+  if (stopped_ || pe.terminated() || ackEpoch != ack_epoch_) return;
+  if (barrier == nullptr) {
+    pe.flushAcks(acks);
+  } else if (!barrier->resolved) {
+    barrier->held.emplace_back(&pe, acks);
+  }
 }
 
 void CheckpointManager::checkpointAllNow(std::function<void()> done,
@@ -337,13 +289,10 @@ void CheckpointManager::resolveAtomicBarrier(AckBarrier& barrier) {
   // confirmed durable (a pipeline that could not start, timed out, or was
   // fenced leaves `held` short) and nothing outdated the barrier meanwhile.
   // Withholding is always safe -- trim just waits for the next checkpoint.
-  if (barrier.held.size() != barrier.expected || stopped_ ||
-      barrier.epoch != ack_epoch_) {
-    barrier.held.clear();
-    return;
-  }
-  for (auto& [pe, acks] : barrier.held) {
-    if (!pe->terminated()) pe->flushAcks(acks);
+  if (barrier.held.size() == barrier.expected) {
+    for (auto& [pe, acks] : barrier.held) {
+      releaseAcks(*pe, acks, barrier.epoch, nullptr);
+    }
   }
   barrier.held.clear();
 }
@@ -368,53 +317,24 @@ void CheckpointManager::checkpointSubjobGrouped(std::function<void()> done) {
       subjob_.pe(i).resume();
     }
     stats_.pauseMs.add(toMillis(sim_.now() - started));
+    std::vector<std::pair<LogicalPeId, Acks>> acks;
+    for (const auto& [peId, peState] : state.pes) {
+      acks.emplace_back(peId, ackWatermarks(peState));
+    }
     const std::uint64_t bytes = state.sizeBytes();
-    const std::uint64_t elements = state.sizeElements(params_.bytesPerElement);
-    const double serializeWork =
-        params_.serializeWorkUsPerKb * static_cast<double>(bytes) / 1024.0;
-    const MachineId srcMachine = subjob_.machine().id();
-    const MachineId storeMachine = store_.machine().id();
-    subjob_.machine().submitData(
-        serializeWork,
-        [this, state = std::move(state), bytes, elements, srcMachine,
-         storeMachine, started, ackEpoch, done = std::move(done)]() mutable {
-          net_.sendReliable(
-              srcMachine, storeMachine, MsgKind::kCheckpoint, bytes, elements,
-              [this, state = std::move(state), bytes, elements, srcMachine,
-               storeMachine, started, ackEpoch,
-               done = std::move(done)]() mutable {
-                store_.storeSubjobState(
-                    state,
-                    [this, state, bytes, elements, srcMachine, storeMachine,
-                     started, ackEpoch, done = std::move(done)] {
-                      net_.sendReliable(
-                          storeMachine, srcMachine, MsgKind::kControl,
-                          params_.confirmBytes, 0,
-                          [this, state, bytes, elements, srcMachine, started,
-                           ackEpoch, done = std::move(done)] {
-                            stats_.checkpoints += 1;
-                            stats_.bytes += bytes;
-                            stats_.elements += elements;
-                            stats_.latencyMs.add(
-                                toMillis(sim_.now() - started));
-                            recordCheckpointEvent(
-                                net_.trace(), TraceEventType::kCheckpointEnd,
-                                sim_.now(), srcMachine, subjob_.logicalId(), 0,
-                                bytes);
-                            for (const auto& [peId, peState] : state.pes) {
-                              if (stopped_ || ackEpoch != ack_epoch_) break;
-                              PeInstance* pe = subjob_.peByLogicalId(peId);
-                              if (pe != nullptr && !pe->terminated()) {
-                                pe->flushAcks(includesInputQueues()
-                                                  ? peState.receivedWatermark
-                                                  : peState.processedWatermark);
-                              }
-                            }
-                            if (done) done();
-                          });
-                    });
-              });
-        });
+    const std::uint64_t elements = state.sizeElements();
+    ship(bytes, elements, 0, started,
+         [this, state = std::move(state)](std::function<void()> onDurable) {
+           store_.storeSubjobState(state, std::move(onDurable));
+         },
+         [this, acks = std::move(acks), ackEpoch, done = std::move(done)] {
+           for (const auto& [peId, peAcks] : acks) {
+             if (PeInstance* pe = subjob_.peByLogicalId(peId)) {
+               releaseAcks(*pe, peAcks, ackEpoch, nullptr);
+             }
+           }
+           if (done) done();
+         });
   };
   // Pause every PE; the last ack triggers `proceed`.
   *awaiting = subjob_.peCount();

@@ -17,9 +17,9 @@ std::uint64_t PeState::sizeBytes() const {
   return total;
 }
 
-std::uint64_t PeState::sizeElements(std::uint32_t bytesPerElement) const {
+std::uint64_t PeState::sizeElements() const {
   std::uint64_t total =
-      (internal.size() + bytesPerElement - 1) / bytesPerElement;
+      (internal.size() + kBytesPerElement - 1) / kBytesPerElement;
   for (const auto& port : ports) total += port.buffered.size();
   total += inputBacklog.size();
   return total;
@@ -31,9 +31,9 @@ std::uint64_t SubjobState::sizeBytes() const {
   return total;
 }
 
-std::uint64_t SubjobState::sizeElements(std::uint32_t bytesPerElement) const {
+std::uint64_t SubjobState::sizeElements() const {
   std::uint64_t total = 0;
-  for (const auto& [id, pe] : pes) total += pe.sizeElements(bytesPerElement);
+  for (const auto& [id, pe] : pes) total += pe.sizeElements();
   return total;
 }
 

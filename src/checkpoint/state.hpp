@@ -19,6 +19,10 @@
 
 namespace streamha {
 
+/// Bytes per data element: the divisor converting internal-state bytes to
+/// the element-denominated overhead the paper's figures use.
+inline constexpr std::uint32_t kBytesPerElement = 132;
+
 /// Checkpointed state of one PE instance.
 struct PeState {
   LogicalPeId pe = -1;
@@ -54,7 +58,7 @@ struct PeState {
 
   /// The element-denominated size the paper's overhead figures use: internal
   /// state expressed in elements plus every queued element included.
-  std::uint64_t sizeElements(std::uint32_t bytesPerElement) const;
+  std::uint64_t sizeElements() const;
 };
 
 /// Checkpointed state of a whole subjob (all its PEs).
@@ -64,7 +68,7 @@ struct SubjobState {
   std::map<LogicalPeId, PeState> pes;
 
   std::uint64_t sizeBytes() const;
-  std::uint64_t sizeElements(std::uint32_t bytesPerElement) const;
+  std::uint64_t sizeElements() const;
   bool empty() const { return pes.empty(); }
 };
 

@@ -28,7 +28,7 @@ StateStore::StateStore(Simulator& sim, Machine& machine, Params params,
                        TraceRecorder* trace)
     : sim_(sim), machine_(machine), params_(params), trace_(trace) {
   if (params_.tiered) {
-    backend_ = std::make_unique<TieredBackend>(sim_, params_.tiers,
+    backend_ = std::make_unique<TieredBackend>(sim_, TieredBackendParams{},
                                                machine_.id(), trace_);
   }
 }
@@ -72,39 +72,40 @@ bool StateStore::freshFor(const SubjobState& slot, const PeState& state) const {
   return it == slot.pes.end() || it->second.version < state.version;
 }
 
-void StateStore::storePeState(SubjobId subjob, const PeState& state,
-                              std::function<void()> onDurable) {
-  if (!machine_.isUp()) return;  // Store lost with its machine.
-  SubjobState& slot = latest_[subjob];
-  slot.subjob = subjob;
-  // Ships ride the ARQ layer, which guarantees delivery but not order: a
-  // retried older checkpoint may land after a newer one. Applying it would
-  // rewind the replica behind the upstream trim point, so drop it here;
-  // versions are monotonic per PE (PeInstance::checkpoint).
-  if (!freshFor(slot, state)) {
-    ++stale_writes_;
-    completeWrite(allocationKey(subjob, state.pe, 0), state.sizeBytes(),
-                  std::move(onDurable));
-    return;
-  }
-  ++slot.version;
-  slot.pes[state.pe] = state;
-  applyToReplica(subjob, state);
+void StateStore::adopt(SubjobId subjob, SubjobState& slot, PeState state) {
+  PeState& stored = slot.pes[state.pe];
+  stored = std::move(state);
+  applyToReplica(subjob, stored);
   if (params_.delta.enabled) {
     // Keep the delta log consistent under full-copy ships too (grouped
     // checkpoints, rollback re-persists): a full state is a full-coverage
     // run, so later restores can still plan from the log.
-    logApply(subjob, encodeDelta(nullptr, state, params_.delta.chunkBytes));
-    completeWrite(allocationKey(subjob, state.pe, 0), state.sizeBytes(),
-                  std::move(onDurable));
-    return;
+    logApply(subjob, encodeDelta(nullptr, stored, params_.delta.chunkBytes));
   }
-  completeWrite(allocationKey(subjob, state.pe, 0), state.sizeBytes(),
-                std::move(onDurable));
+}
+
+void StateStore::storePeState(SubjobId subjob, PeState state,
+                              std::function<void()> onDurable) {
+  if (!machine_.isUp()) return;  // Store lost with its machine.
+  SubjobState& slot = latest_[subjob];
+  slot.subjob = subjob;
+  const std::uint64_t allocation = allocationKey(subjob, state.pe, 0);
+  const std::uint64_t bytes = state.sizeBytes();
+  // Ships ride the ARQ layer, which guarantees delivery but not order: a
+  // retried older checkpoint may land after a newer one. Applying it would
+  // rewind the replica behind the upstream trim point, so drop it here;
+  // versions are monotonic per PE (PeInstance::checkpoint).
+  if (freshFor(slot, state)) {
+    ++slot.version;
+    adopt(subjob, slot, std::move(state));
+  } else {
+    ++stale_writes_;
+  }
+  completeWrite(allocation, bytes, std::move(onDurable));
 }
 
 void StateStore::storePeDelta(SubjobId subjob, const PeStateDelta& delta,
-                              std::function<void(bool)> onConfirm) {
+                              std::function<void()> onDurable) {
   if (!machine_.isUp()) return;
   SubjobState& slot = latest_[subjob];
   slot.subjob = subjob;
@@ -116,14 +117,7 @@ void StateStore::storePeDelta(SubjobId subjob, const PeStateDelta& delta,
     // delta's acks are safe to release -- confirm without applying.
     ++stale_writes_;
     ++telemetry_.staleDeltaDrops;
-    auto wrapped = [onConfirm = std::move(onConfirm)] {
-      if (onConfirm) onConfirm(true);
-    };
-    completeWrite(allocationKey(subjob, delta.pe, 0), delta.sizeBytes(),
-                  std::move(wrapped));
-    return;
-  }
-  if (delta.baseVersion != 0 && delta.baseVersion != storedVersion) {
+  } else if (delta.baseVersion != 0 && delta.baseVersion != storedVersion) {
     // Base miss: the store cannot reconstruct delta.version from what it
     // holds. Drop WITHOUT confirming -- a confirm would let the sender trim
     // upstream queues past state this store never materialized. The sender's
@@ -131,21 +125,19 @@ void StateStore::storePeDelta(SubjobId subjob, const PeStateDelta& delta,
     // pipeline.
     ++telemetry_.baseMisses;
     return;
+  } else {
+    PeState& stored = slot.pes[delta.pe];
+    // A full delta (empty base) applies to the empty state, not to whatever
+    // older, possibly larger, state the slot holds.
+    if (delta.baseVersion == 0) stored = PeState{};
+    applyDeltaInPlace(stored, delta);
+    ++slot.version;
+    ++telemetry_.deltaApplies;
+    applyToReplica(subjob, stored);
+    logApply(subjob, delta);
   }
-  PeState& stored = slot.pes[delta.pe];
-  // A full delta (empty base) applies to the empty state, not to whatever
-  // older, possibly larger, state the slot holds.
-  if (delta.baseVersion == 0) stored = PeState{};
-  applyDeltaInPlace(stored, delta);
-  ++slot.version;
-  ++telemetry_.deltaApplies;
-  applyToReplica(subjob, stored);
-  logApply(subjob, delta);
-  auto wrapped = [onConfirm = std::move(onConfirm)] {
-    if (onConfirm) onConfirm(true);
-  };
   completeWrite(allocationKey(subjob, delta.pe, 0), delta.sizeBytes(),
-                std::move(wrapped));
+                std::move(onDurable));
 }
 
 void StateStore::logApply(SubjobId subjob, const PeStateDelta& delta) {
@@ -195,15 +187,10 @@ void StateStore::storeSubjobState(const SubjobState& state,
   slot.subjob = state.subjob;
   ++slot.version;
   for (const auto& [peId, peState] : state.pes) {
-    if (!freshFor(slot, peState)) {
+    if (freshFor(slot, peState)) {
+      adopt(state.subjob, slot, peState);
+    } else {
       ++stale_writes_;
-      continue;
-    }
-    slot.pes[peId] = peState;
-    applyToReplica(state.subjob, peState);
-    if (params_.delta.enabled) {
-      logApply(state.subjob,
-               encodeDelta(nullptr, peState, params_.delta.chunkBytes));
     }
   }
   completeWrite(allocationKey(state.subjob, -1, 0), state.sizeBytes(),

@@ -52,9 +52,9 @@ class StateStore {
     double diskBytesPerMicro = kTierHdd.bytesPerMicro;
     /// Delta-checkpoint shipping (state/delta.hpp). Off by default.
     DeltaParams delta;
-    /// Tiered placement/cost model (state/tier.hpp). Off by default.
+    /// Tiered placement/cost model (state/tier.hpp) with the preset tiers.
+    /// Off by default.
     bool tiered = false;
-    TieredBackendParams tiers;
   };
 
   /// `trace` is the optional sink for kTierSpill / kCompaction* events (null
@@ -69,21 +69,20 @@ class StateStore {
 
   /// Store an updated state for one PE of `subjob`; `onDurable` runs once the
   /// write completes (immediately for memory, after the penalty for disk).
-  void storePeState(SubjobId subjob, const PeState& state,
+  void storePeState(SubjobId subjob, PeState state,
                     std::function<void()> onDurable);
 
   /// Store a whole-subjob state (synchronous checkpointing sends one blob).
   void storeSubjobState(const SubjobState& state,
                         std::function<void()> onDurable);
 
-  /// Delta-mode write path. `onConfirm(covered)` runs once the write
-  /// resolves: covered=true means the store now holds this PE at
-  /// delta.version or newer (applied, or stale against a newer stored
-  /// version), so the sender may release the delta's acks. A base miss --
-  /// delta.version ahead of the store but baseVersion not matching -- runs
-  /// nothing: no confirm flows and the sender's attempt must time out.
+  /// Delta-mode write path. `onDurable` runs once the store durably holds
+  /// this PE at delta.version or newer (applied, or stale against a newer
+  /// stored version), so the sender may release the delta's acks. A base
+  /// miss -- delta.version ahead of the store but baseVersion not matching --
+  /// runs nothing: no confirm flows and the sender's attempt must time out.
   void storePeDelta(SubjobId subjob, const PeStateDelta& delta,
-                    std::function<void(bool covered)> onConfirm);
+                    std::function<void()> onDurable);
 
   /// Latest known state of `subjob` (merged per-PE versions); empty state if
   /// nothing stored yet.
@@ -123,6 +122,9 @@ class StateStore {
 
  private:
   bool freshFor(const SubjobState& slot, const PeState& state) const;
+  /// Adopt a fresh full state for one PE of `slot`: assign it, refresh the
+  /// attached replica and, in delta mode, log it as a full-coverage run.
+  void adopt(SubjobId subjob, SubjobState& slot, PeState state);
   void applyToReplica(SubjobId subjob, const PeState& state);
   void completeWrite(std::uint64_t allocation, std::uint64_t bytes,
                      std::function<void()> onDurable);

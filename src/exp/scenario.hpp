@@ -45,7 +45,7 @@ struct ScenarioParams {
   double peWorkUs = 300.0;
   double selectivity = 1.0;
   /// "The PE's internal state is set to have a size of 20 data elements."
-  std::size_t stateBytes = 20 * 132;
+  std::size_t stateBytes = 20 * kBytesPerElement;
   /// When > 0, PEs run KeyedStateLogic with this per-key region size instead
   /// of SyntheticLogic: each element dirties one key region, which is the
   /// workload shape delta checkpointing (store.delta) exploits. 0 (default)

@@ -87,7 +87,7 @@ void ActiveStandbyCoordinator::replaceCopy(Replica which) {
           const MachineId from = survivor->machine().id();
           net().sendReliable(
               from, spare, MsgKind::kStateRead, state.sizeBytes(),
-              state.sizeElements(params_.checkpoint.bytesPerElement),
+              state.sizeElements(),
               [this, &copy, survivor, state, idx] {
                 quiescer_.release();
                 const ElementSeq baseline =

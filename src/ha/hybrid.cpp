@@ -261,8 +261,7 @@ void HybridCoordinator::onRecovery(SimTime recoveredAt) {
     }
     // Read State on Rollback: the primary adopts the secondary's more
     // advanced state instead of grinding through its backlog.
-    const std::uint64_t elements =
-        state.sizeElements(params_.checkpoint.bytesPerElement);
+    const std::uint64_t elements = state.sizeElements();
     state_read_elements_ += elements;
     // Delta-aware transfer: when delta shipping is on, the recovering
     // primary already holds its own last-checkpointed state, and the store's

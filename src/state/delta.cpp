@@ -78,11 +78,11 @@ std::uint64_t PeStateDelta::sizeBytes() const {
   return total;
 }
 
-std::uint64_t PeStateDelta::sizeElements(std::uint32_t bytesPerElement) const {
+std::uint64_t PeStateDelta::sizeElements() const {
   std::uint64_t chunkBytesTotal = 0;
   for (const auto& chunk : chunks) chunkBytesTotal += chunk.bytes.size();
   std::uint64_t total =
-      (chunkBytesTotal + bytesPerElement - 1) / bytesPerElement;
+      (chunkBytesTotal + kBytesPerElement - 1) / kBytesPerElement;
   for (const auto& port : ports) total += port.buffered.size();
   total += inputBacklog.size();
   return total;

@@ -60,7 +60,7 @@ struct PeStateDelta {
 
   /// Wire size: changed chunks + queue payload + a small header.
   std::uint64_t sizeBytes() const;
-  std::uint64_t sizeElements(std::uint32_t bytesPerElement) const;
+  std::uint64_t sizeElements() const;
 };
 
 /// Diff `next` against `base` (nullptr = empty base, i.e. a full delta).

@@ -1,27 +1,11 @@
 #include "state/tier.hpp"
 
 #include <cmath>
-#include <sstream>
 
 #include "sim/simulator.hpp"
 #include "trace/recorder.hpp"
 
 namespace streamha {
-
-TieredBackendParams TieredBackendParams::fromConfig(const Config& config) {
-  TieredBackendParams params;
-  const char* names[kStorageTierCount] = {"dram", "ssd", "hdd"};
-  for (std::size_t i = 0; i < kStorageTierCount; ++i) {
-    const std::string prefix = std::string("state.") + names[i] + ".";
-    TierSpec& spec = params.tiers[i];
-    spec.latencyUs = config.getDouble(prefix + "latency_us", spec.latencyUs);
-    spec.bytesPerMicro =
-        config.getDouble(prefix + "bytes_per_micro", spec.bytesPerMicro);
-    spec.capacityBytes = static_cast<std::uint64_t>(config.getInt(
-        prefix + "capacity", static_cast<std::int64_t>(spec.capacityBytes)));
-  }
-  return params;
-}
 
 TieredBackend::TieredBackend(const Simulator& sim, TieredBackendParams params,
                              MachineId machine, TraceRecorder* trace)
@@ -47,12 +31,7 @@ TierWriteResult TieredBackend::write(std::uint64_t allocation,
     result.spilled = true;
   }
   result.tier = static_cast<StorageTier>(chosen);
-  const TierSpec& s = params_.tiers[chosen];
-  const double micros =
-      s.latencyUs + (s.bytesPerMicro > 0.0
-                         ? static_cast<double>(bytes) / s.bytesPerMicro
-                         : 0.0);
-  result.cost = static_cast<SimDuration>(std::ceil(micros));
+  result.cost = readCost(result.tier, bytes);
   used_[chosen] += bytes;
   written_[chosen] += bytes;
   allocations_[allocation] = Allocation{result.tier, bytes};
@@ -87,16 +66,6 @@ SimDuration TieredBackend::readCost(StorageTier tier,
                          ? static_cast<double>(bytes) / s.bytesPerMicro
                          : 0.0);
   return static_cast<SimDuration>(std::ceil(micros));
-}
-
-std::string TieredBackend::summary() const {
-  std::ostringstream out;
-  for (std::size_t i = 0; i < kStorageTierCount; ++i) {
-    if (i > 0) out << " ";
-    out << toString(static_cast<StorageTier>(i)) << "=" << used_[i] << "B";
-  }
-  out << " spills=" << spills_;
-  return out.str();
 }
 
 }  // namespace streamha

@@ -16,7 +16,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <string>
 
 #include "common/config.hpp"
 #include "common/types.hpp"
@@ -29,15 +28,6 @@ class TraceRecorder;
 enum class StorageTier : std::uint8_t { kDram = 0, kSsd = 1, kHdd = 2 };
 
 inline constexpr std::size_t kStorageTierCount = 3;
-
-constexpr const char* toString(StorageTier tier) {
-  switch (tier) {
-    case StorageTier::kDram: return "dram";
-    case StorageTier::kSsd: return "ssd";
-    case StorageTier::kHdd: return "hdd";
-  }
-  return "?";
-}
 
 /// One tier's simulated characteristics. Defaults come from the named presets
 /// in common/config.hpp so the bench, the store and the backend agree on what
@@ -59,10 +49,6 @@ struct TieredBackendParams {
       TierSpec::fromPreset(kTierSsd),
       TierSpec::fromPreset(kTierHdd),
   };
-
-  /// Build params from a Config, honoring keys like "state.dram.capacity",
-  /// "state.ssd.bytes_per_micro", "state.hdd.latency_us".
-  static TieredBackendParams fromConfig(const Config& config);
 };
 
 /// Placement + cost decision for one write.
@@ -86,7 +72,8 @@ class TieredBackend {
   /// Release an allocation's bytes back to its tier.
   void free(std::uint64_t allocation);
 
-  /// Read cost for `bytes` resident on `tier`.
+  /// Access cost (latency + bytes / bandwidth) of `bytes` on `tier`; a
+  /// write pays the same.
   SimDuration readCost(StorageTier tier, std::uint64_t bytes) const;
 
   std::uint64_t usedBytes(StorageTier tier) const {
@@ -98,8 +85,6 @@ class TieredBackend {
   std::uint64_t spillCount() const { return spills_; }
 
   const TieredBackendParams& params() const { return params_; }
-
-  std::string summary() const;
 
  private:
   struct Allocation {

@@ -33,13 +33,13 @@ TEST(PeState, SizeElementsUsesDivisor) {
   port.buffered.push_back(makeElement(2));
   state.ports.push_back(port);
   state.inputBacklog.push_back(makeElement(3));
-  EXPECT_EQ(state.sizeElements(132), 2u + 2u + 1u);
+  EXPECT_EQ(state.sizeElements(), 2u + 2u + 1u);
 }
 
 TEST(PeState, SizeElementsRoundsUp) {
   PeState state;
   state.internal.assign(1, 0);
-  EXPECT_EQ(state.sizeElements(132), 1u);
+  EXPECT_EQ(state.sizeElements(), 1u);
 }
 
 TEST(SubjobState, AggregatesPes) {
@@ -53,7 +53,7 @@ TEST(SubjobState, AggregatesPes) {
   b.internal.assign(264, 0);
   state.pes[0] = a;
   state.pes[1] = b;
-  EXPECT_EQ(state.sizeElements(132), 3u);
+  EXPECT_EQ(state.sizeElements(), 3u);
   EXPECT_GT(state.sizeBytes(), 396u);
   EXPECT_FALSE(state.empty());
 }
@@ -61,7 +61,7 @@ TEST(SubjobState, AggregatesPes) {
 TEST(SubjobState, EmptyState) {
   SubjobState state;
   EXPECT_TRUE(state.empty());
-  EXPECT_EQ(state.sizeElements(132), 0u);
+  EXPECT_EQ(state.sizeElements(), 0u);
 }
 
 }  // namespace

@@ -163,7 +163,7 @@ TEST_F(DeltaStoreFixture, StaleDeltaAfterCompactionIsConfirmedNotApplied) {
   // Regression: an ARQ retry can deliver an old delta ship after a
   // compaction cycle has already folded newer versions into one run. The
   // stale version must bump staleWrites(), leave the stored state alone, and
-  // still confirm (covered=true) so the sender's ack flow resolves.
+  // still confirm so the sender's ack flow resolves.
   StateStore store(sim, *machine, deltaParams(/*compactEveryRuns=*/2));
   shipChain(store, 3, 3);  // Versions 1..3; compaction fired at 2 runs.
   ASSERT_NE(store.deltaLog(3, 0), nullptr);
@@ -173,13 +173,9 @@ TEST_F(DeltaStoreFixture, StaleDeltaAfterCompactionIsConfirmedNotApplied) {
   const PeState base1 = keyedState(1);
   const PeState v2 = keyedState(2);
   bool confirmed = false;
-  bool covered = false;
-  store.storePeDelta(3, encodeDelta(&base1, v2, 64), [&](bool c) {
-    confirmed = true;
-    covered = c;
-  });
+  store.storePeDelta(3, encodeDelta(&base1, v2, 64),
+                     [&] { confirmed = true; });
   EXPECT_TRUE(confirmed);
-  EXPECT_TRUE(covered);
   EXPECT_EQ(store.staleWrites(), 1u);
   EXPECT_EQ(store.telemetry().staleDeltaDrops, 1u);
   EXPECT_EQ(store.latest(3).pes.at(0).version, 3u);
@@ -197,7 +193,7 @@ TEST_F(DeltaStoreFixture, BaseMissDropsWithoutConfirming) {
   const PeState v3 = keyedState(3);
   bool confirmed = false;
   store.storePeDelta(3, encodeDelta(&base2, v3, 64),
-                     [&](bool) { confirmed = true; });
+                     [&] { confirmed = true; });
   EXPECT_FALSE(confirmed);
   EXPECT_EQ(store.telemetry().baseMisses, 1u);
   EXPECT_EQ(store.latest(3).pes.at(0).version, 1u);
@@ -263,10 +259,10 @@ TEST_F(DeltaStoreFixture, FullDeltaOverLargerStateLeavesNoStaleTail) {
   small.internal = logic.serialize();
   small.processedWatermark[10] = 20;
   ASSERT_LT(small.internal.size(), large.internal.size());
-  bool covered = false;
+  bool confirmed = false;
   store.storePeDelta(1, encodeDelta(nullptr, small, 64),
-                     [&](bool c) { covered = c; });
-  EXPECT_TRUE(covered);
+                     [&] { confirmed = true; });
+  EXPECT_TRUE(confirmed);
 
   const SubjobState latest = store.latest(1);
   const PeState& stored = latest.pes.at(0);

@@ -87,16 +87,5 @@ TEST_F(TieredBackendFixture, SpillEmitsTraceEvent) {
   EXPECT_EQ(ev.aux, 500u);
 }
 
-TEST_F(TieredBackendFixture, ParamsFromConfigHonorOverrides) {
-  Config config;
-  config.set("state.dram.capacity", std::int64_t{4096});
-  config.set("state.hdd.bytes_per_micro", 42.5);
-  const TieredBackendParams params = TieredBackendParams::fromConfig(config);
-  EXPECT_EQ(params.tiers[0].capacityBytes, 4096u);
-  EXPECT_DOUBLE_EQ(params.tiers[2].bytesPerMicro, 42.5);
-  // Untouched fields keep the presets.
-  EXPECT_DOUBLE_EQ(params.tiers[1].latencyUs, kTierSsd.latencyUs);
-}
-
 }  // namespace
 }  // namespace streamha
