@@ -70,6 +70,9 @@ class AccrualDetector : public FailureDetector {
   std::uint64_t repliesReceived() const { return replies_received_; }
   std::uint64_t failuresDeclared() const { return failures_declared_; }
   std::uint64_t recoveriesDeclared() const { return recoveries_declared_; }
+  std::uint64_t suspicionCrossings() const override {
+    return failures_declared_;
+  }
 
   const Params& params() const { return params_; }
 

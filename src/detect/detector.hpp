@@ -39,6 +39,10 @@ class FailureDetector {
   virtual bool failed() const = 0;
 
   virtual MachineId targetId() const = 0;
+
+  /// Times a suspicion level crossed the failure threshold upward (each one
+  /// a failure declaration); 0 for detectors without a suspicion level.
+  virtual std::uint64_t suspicionCrossings() const { return 0; }
 };
 
 /// Constructs a detector watching `target` from `monitor`. HA coordinators

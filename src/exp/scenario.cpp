@@ -569,6 +569,7 @@ ScenarioResult Scenario::collect() {
     result.rollbacks += c->rollbacks();
     result.promotions += c->promotions();
     result.state += c->stateTelemetry();
+    result.gray.suspicionCrossings += c->suspicionCrossings();
     if (auto* hybrid = dynamic_cast<HybridCoordinator*>(c.get())) {
       result.gray.flapsDetected += hybrid->flapsDetected();
       result.gray.quarantines += hybrid->quarantines();
@@ -590,14 +591,6 @@ ScenarioResult Scenario::collect() {
     result.gray.slowdownsApplied = injector_->stats().slowdownsApplied;
     result.gray.slowdownDelays = injector_->stats().slowdownDelays;
   }
-  if (recorder_ != nullptr) {
-    for (const TraceEvent& ev : recorder_->events()) {
-      if (ev.type == TraceEventType::kSuspicionCrossed) {
-        ++result.gray.suspicionCrossings;
-      }
-    }
-  }
-
   for (const auto& inst : runtime_->allInstances()) {
     for (std::size_t i = 0; i < inst->peCount(); ++i) {
       result.gapsObserved += inst->pe(i).input().gapsObserved();

@@ -54,6 +54,7 @@ std::unique_ptr<FailureDetector> HaCoordinator::startDetector(
         sim(), net(), monitor, target, params_.heartbeat, std::move(callbacks));
   }
   detector->start();
+  started_detectors_.push_back(detector.get());
   return detector;
 }
 
@@ -232,6 +233,14 @@ void HaCoordinator::retire(std::unique_ptr<FailureDetector> detector) {
 void HaCoordinator::retire(std::unique_ptr<StateStore> store) {
   if (store == nullptr) return;
   retired_stores_.push_back(std::move(store));
+}
+
+std::uint64_t HaCoordinator::suspicionCrossings() const {
+  std::uint64_t total = 0;
+  for (const FailureDetector* detector : started_detectors_) {
+    total += detector->suspicionCrossings();
+  }
+  return total;
 }
 
 StateTelemetry HaCoordinator::stateTelemetry() const {

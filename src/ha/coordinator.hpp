@@ -108,6 +108,9 @@ class HaCoordinator {
   /// retired by promotions/migrations. All zero when the delta/tiered
   /// backend is disabled.
   StateTelemetry stateTelemetry() const;
+  /// Upward suspicion crossings over every detector this coordinator
+  /// started, live and retired.
+  std::uint64_t suspicionCrossings() const;
 
   std::uint64_t switchovers() const { return switchovers_; }
   std::uint64_t rollbacks() const { return rollbacks_; }
@@ -211,6 +214,9 @@ class HaCoordinator {
  private:
   std::vector<std::unique_ptr<CheckpointManager>> retired_cms_;
   std::vector<std::unique_ptr<FailureDetector>> retired_detectors_;
+  /// Every detector startDetector() built. Not owning: each is owned by a
+  /// live slot or retired, and retired objects are never destroyed mid-run.
+  std::vector<const FailureDetector*> started_detectors_;
   std::vector<std::unique_ptr<StateStore>> retired_stores_;
 };
 

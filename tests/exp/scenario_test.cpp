@@ -4,6 +4,7 @@
 
 #include "exp/detection_study.hpp"
 #include "exp/measurement_study.hpp"
+#include "exp/sweep.hpp"
 
 namespace streamha {
 namespace {
@@ -123,6 +124,39 @@ TEST(Scenario, LoadSheddingBoundsDelayAtTheCostOfLoss) {
   EXPECT_LT(rb.avgDelayMs, ra.avgDelayMs * 0.6);
   // Shedding loses data: the sink sees fewer elements.
   EXPECT_LT(rb.sinkReceived, ra.sinkReceived);
+}
+
+TEST(Scenario, SuspicionCrossingsDoNotDependOnTracing) {
+  // Tracing only records: an accrual run reports the same result, crossings
+  // included, with or without it, and counts the upward crossings only.
+  auto run = [](bool traced, std::uint64_t* upward) {
+    ScenarioParams p;
+    p.mode = HaMode::kHybrid;
+    p.protectedSubjobs = {2};
+    p.accrual.enabled = true;
+    p.accrual.failPhi = 2.0;
+    p.failureFraction = 0.2;
+    p.failureDuration = 2 * kSecond;
+    p.duration = 20 * kSecond;
+    p.seed = 3;
+    p.trace.enabled = traced;
+    Scenario s(p);
+    const ScenarioResult r = s.runAll();
+    if (upward != nullptr) {
+      for (const TraceEvent& ev : s.trace()->events()) {
+        if (ev.type == TraceEventType::kSuspicionCrossed && ev.aux == 0) {
+          ++*upward;
+        }
+      }
+    }
+    return r;
+  };
+  std::uint64_t upward = 0;
+  const ScenarioResult traced = run(true, &upward);
+  const ScenarioResult untraced = run(false, nullptr);
+  EXPECT_GT(upward, 0u);
+  EXPECT_EQ(traced.gray.suspicionCrossings, upward);
+  EXPECT_EQ(fingerprintResult(untraced), fingerprintResult(traced));
 }
 
 TEST(MeasurementStudy, EnsembleMatchesPaperCharacteristics) {
