@@ -1,21 +1,10 @@
 #include "flow/flow_control.hpp"
 
-#include <sstream>
-
 #include "cluster/cluster.hpp"
 #include "stream/runtime.hpp"
 #include "trace/recorder.hpp"
 
 namespace streamha::flow {
-
-std::string FlowStats::summary() const {
-  std::ostringstream out;
-  out << "pauses=" << pauses << " resumes=" << resumes
-      << " overloadEdges=" << overloadEdges << " blockEdges=" << blockEdges
-      << " shedIntervals=" << shedIntervals
-      << " elementsShedAccounted=" << elementsShedAccounted;
-  return out.str();
-}
 
 FlowControl::FlowControl(Runtime& rt, FlowParams params)
     : rt_(rt), params_(params) {}

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string>
 #include <tuple>
 
 #include "common/types.hpp"
@@ -75,8 +74,6 @@ struct FlowStats {
   std::uint64_t blockEdges = 0;     ///< Output gates closing.
   std::uint64_t shedIntervals = 0;  ///< Closed per-stream drop intervals.
   std::uint64_t elementsShedAccounted = 0;  ///< Elements inside them.
-
-  std::string summary() const;
 };
 
 class FlowControl {

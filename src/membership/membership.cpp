@@ -1,7 +1,5 @@
 #include "membership/membership.hpp"
 
-#include <cstdio>
-
 #include "cluster/cluster.hpp"
 #include "trace/recorder.hpp"
 
@@ -17,21 +15,6 @@ MembershipTelemetry& MembershipTelemetry::operator+=(
   beaconsDelivered += other.beaconsDelivered;
   rosterSize += other.rosterSize;
   return *this;
-}
-
-std::string MembershipTelemetry::summary() const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "membership: joins=%llu warmUps=%llu leaseExpiries=%llu "
-                "retirements=%llu beacons=%llu/%llu roster=%llu",
-                static_cast<unsigned long long>(joins),
-                static_cast<unsigned long long>(warmUps),
-                static_cast<unsigned long long>(leaseExpiries),
-                static_cast<unsigned long long>(retirements),
-                static_cast<unsigned long long>(beaconsDelivered),
-                static_cast<unsigned long long>(beaconsSent),
-                static_cast<unsigned long long>(rosterSize));
-  return buf;
 }
 
 MembershipService::MembershipService(Cluster& cluster, Params params)

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -48,8 +47,6 @@ struct MembershipTelemetry {
   std::uint64_t rosterSize = 0;     ///< Members at collection time.
 
   MembershipTelemetry& operator+=(const MembershipTelemetry& other);
-
-  std::string summary() const;
 };
 
 class MembershipService {

@@ -1,54 +1,9 @@
-// Traffic accounting helpers on top of Network counters.
+// End-of-run telemetry structs the scenario harness fills in.
 #pragma once
 
-#include <string>
-
-#include "common/types.hpp"
-#include "net/network.hpp"
+#include <cstdint>
 
 namespace streamha {
-
-/// Traffic observed between two instants.
-class TrafficWindow {
- public:
-  TrafficWindow(const Network& net, SimTime start)
-      : baseline_(net.snapshot()), start_(start) {}
-
-  /// Finalize against the current counters.
-  void close(const Network& net, SimTime end) {
-    delta_ = net.snapshot() - baseline_;
-    end_ = end;
-    closed_ = true;
-  }
-
-  const Network::Counters& delta() const { return delta_; }
-  double seconds() const { return toSeconds(end_ - start_); }
-  bool closed() const { return closed_; }
-
-  std::uint64_t dataElements() const {
-    return delta_.elementsOf(MsgKind::kData);
-  }
-  std::uint64_t checkpointElements() const {
-    return delta_.elementsOf(MsgKind::kCheckpoint);
-  }
-  std::uint64_t totalElements() const { return delta_.totalElements(); }
-  std::uint64_t totalMessages() const { return delta_.totalMessages(); }
-  std::uint64_t totalBytes() const { return delta_.totalBytes(); }
-
-  double elementsPerSecond() const {
-    const double s = seconds();
-    return s <= 0 ? 0.0 : static_cast<double>(totalElements()) / s;
-  }
-
-  std::string summary() const;
-
- private:
-  Network::Counters baseline_;
-  Network::Counters delta_{};
-  SimTime start_;
-  SimTime end_ = kTimeNever;
-  bool closed_ = false;
-};
 
 /// End-of-run flow-control/ARQ telemetry collected by the scenario harness
 /// (flow/ + net/reliable.hpp). All zero when flow control is disabled.
@@ -63,8 +18,6 @@ struct FlowTelemetry {
   std::uint64_t arqSuperseded = 0;    ///< Keyed sends evicted by newer ones.
   std::uint64_t arqPeakTracked = 0;   ///< Peak in-flight + parked (memory bound).
   bool sourcePausedAtEnd = false;     ///< Source still paused at collection.
-
-  std::string summary() const;
 };
 
 /// End-of-run gray-failure/flap-damping telemetry aggregated over the HA
@@ -76,8 +29,6 @@ struct GrayFailureTelemetry {
   std::uint64_t suspicionCrossings = 0;  ///< Accrual threshold crossings.
   std::uint64_t slowdownsApplied = 0;    ///< Injected slowdown faults.
   std::uint64_t slowdownDelays = 0;      ///< Messages jittered by slowdowns.
-
-  std::string summary() const;
 };
 
 }  // namespace streamha

@@ -1,7 +1,6 @@
 #include "place/planner.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "cluster/cluster.hpp"
 #include "cluster/machine.hpp"
@@ -18,23 +17,6 @@ PlacementTelemetry& PlacementTelemetry::operator+=(const PlacementTelemetry& oth
   reprovisionRetries += other.reprovisionRetries;
   standbyRedeploys += other.standbyRedeploys;
   return *this;
-}
-
-std::string PlacementTelemetry::summary() const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "placement: choices=%llu exhausted=%llu quarantineRej=%llu "
-                "sameDomain=%llu domainLosses=%llu reprovisions=%llu "
-                "retries=%llu standbyRedeploys=%llu",
-                static_cast<unsigned long long>(plannerChoices),
-                static_cast<unsigned long long>(plannerExhausted),
-                static_cast<unsigned long long>(quarantineRejections),
-                static_cast<unsigned long long>(sameDomainFallbacks),
-                static_cast<unsigned long long>(domainLosses),
-                static_cast<unsigned long long>(reprovisions),
-                static_cast<unsigned long long>(reprovisionRetries),
-                static_cast<unsigned long long>(standbyRedeploys));
-  return buf;
 }
 
 namespace {

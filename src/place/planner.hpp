@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -36,8 +35,6 @@ struct PlacementTelemetry {
   std::uint64_t standbyRedeploys = 0;     ///< Fresh standbys deployed after standby-only loss.
 
   PlacementTelemetry& operator+=(const PlacementTelemetry& other);
-
-  std::string summary() const;
 };
 
 class PlacementPlanner {

@@ -71,14 +71,6 @@ class LoadBalancer {
   std::uint64_t migrations() const { return migrations_; }
   bool migrationInProgress() const { return migrating_; }
 
-  /// membership/ interplay: elastic roster. A mid-run joined (and warmed-up)
-  /// member becomes a migration candidate; a departed member is withdrawn.
-  /// Both idempotent; withdrawing a machine mid-migration lets the in-flight
-  /// migration finish (stop-and-copy is atomic from the balancer's view).
-  void addSpare(MachineId machine);
-  void removeSpare(MachineId machine);
-  const std::vector<MachineId>& spares() const { return spares_; }
-
   /// Stop-and-copy migration of `instance` to `target`: quiesce, capture the
   /// full state (including input queues), transfer, apply, rewire, terminate
   /// the old copy. `done` runs when the moved subjob is processing again.

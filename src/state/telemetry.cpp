@@ -1,7 +1,5 @@
 #include "state/telemetry.hpp"
 
-#include <sstream>
-
 namespace streamha {
 
 StateTelemetry& StateTelemetry::operator+=(const StateTelemetry& other) {
@@ -27,21 +25,6 @@ StateTelemetry& StateTelemetry::operator+=(const StateTelemetry& other) {
   restoreFullBytes += other.restoreFullBytes;
   restoreDeltaBytes += other.restoreDeltaBytes;
   return *this;
-}
-
-std::string StateTelemetry::summary() const {
-  std::ostringstream out;
-  out << "delta ships=" << deltaShips << " (" << deltaShipBytes << "B vs "
-      << deltaFullBytes << "B full), applies=" << deltaApplies
-      << " stale=" << staleDeltaDrops << " baseMiss=" << baseMisses
-      << "; log runs=" << runsAppended << " compactions=" << compactions
-      << " (" << compactionBytesIn << "B -> " << compactionBytesOut
-      << "B, dropped " << chunksDiscarded << " chunks)"
-      << "; tier spills=" << tierSpills << " written dram=" << bytesWrittenDram
-      << "B ssd=" << bytesWrittenSsd << "B hdd=" << bytesWrittenHdd << "B"
-      << "; restores full=" << fullRestores << " delta=" << deltaRestores
-      << " (" << restoreDeltaBytes << "B vs " << restoreFullBytes << "B)";
-  return out.str();
 }
 
 }  // namespace streamha

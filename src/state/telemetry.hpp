@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace streamha {
 
@@ -43,8 +42,6 @@ struct StateTelemetry {
   std::uint64_t restoreDeltaBytes = 0; ///< Bytes moved by delta restores.
 
   StateTelemetry& operator+=(const StateTelemetry& other);
-
-  std::string summary() const;
 };
 
 }  // namespace streamha

@@ -8,6 +8,7 @@
 // runs exactly these via `ctest -R StateStoreChaos`.
 #include <gtest/gtest.h>
 
+#include "exp/sweep.hpp"
 #include "harness/chaos_harness.hpp"
 #include "harness/sweep_runner.hpp"
 
@@ -85,10 +86,11 @@ TEST(StateStoreChaosSweep, ExactlyOnceWithDeltaAndTieredStore) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: same seed, same schedule => bit-identical trace AND
-// bit-identical delta logs (every run list hashes equal), with a rollback's
-// restore racing the still-running checkpoint stream inside the run. This is
-// the compacted-store analogue of the harness's replay contract.
+// Determinism: same seed, same schedule => bit-identical trace, result
+// fingerprint (every telemetry field included) AND bit-identical delta logs
+// (every run list hashes equal), with a rollback's restore racing the
+// still-running checkpoint stream inside the run. This is the
+// compacted-store analogue of the harness's replay contract.
 // ---------------------------------------------------------------------------
 
 std::uint64_t allLogFingerprints(Scenario& s) {
@@ -108,7 +110,7 @@ std::uint64_t allLogFingerprints(Scenario& s) {
 
 TEST(StateStoreChaosDeterminism, ReplayIsBitIdenticalIncludingDeltaLogs) {
   auto runOnce = [](std::string* traceOut, std::uint64_t* logsOut,
-                    std::string* telemetryOut) {
+                    std::string* resultOut) {
     ScenarioParams p = stateStoreParams(11, 8192);
     p.trace.enabled = true;
     harness::ChaosProfile profile;
@@ -123,16 +125,16 @@ TEST(StateStoreChaosDeterminism, ReplayIsBitIdenticalIncludingDeltaLogs) {
     s.drain();
     *traceOut = harness::traceJsonl(s);
     *logsOut = allLogFingerprints(s);
-    *telemetryOut = s.collect().state.summary();
+    *resultOut = fingerprintResult(s.collect());
   };
-  std::string trace1, trace2, tel1, tel2;
+  std::string trace1, trace2, result1, result2;
   std::uint64_t logs1 = 0, logs2 = 0;
-  runOnce(&trace1, &logs1, &tel1);
-  runOnce(&trace2, &logs2, &tel2);
+  runOnce(&trace1, &logs1, &result1);
+  runOnce(&trace2, &logs2, &result2);
   ASSERT_FALSE(trace1.empty());
   EXPECT_EQ(trace1, trace2);
   EXPECT_EQ(logs1, logs2);
-  EXPECT_EQ(tel1, tel2);
+  EXPECT_EQ(result1, result2);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "metrics/counters.hpp"
 #include "metrics/latency.hpp"
 #include "metrics/recovery.hpp"
 #include "metrics/report.hpp"
@@ -93,25 +92,6 @@ TEST(MergeWindows, TouchingWindowsMerge) {
   auto merged = mergeWindows({{{0, 10}, {10, 20}}});
   ASSERT_EQ(merged.size(), 1u);
   EXPECT_EQ(merged[0].second, 20);
-}
-
-TEST(TrafficWindow, ComputesDeltasAndRates) {
-  Simulator sim;
-  Network net(sim, Network::Params{}, nullptr);
-  net.send(0, 1, MsgKind::kData, 100, 5, [] {});
-  sim.runAll();
-  TrafficWindow window(net, sim.now());
-  net.send(0, 1, MsgKind::kData, 100, 7, [] {});
-  net.send(0, 1, MsgKind::kCheckpoint, 50, 2, [] {});
-  sim.runUntil(sim.now() + 2 * kSecond);
-  window.close(net, sim.now());
-  EXPECT_TRUE(window.closed());
-  EXPECT_EQ(window.dataElements(), 7u);
-  EXPECT_EQ(window.checkpointElements(), 2u);
-  EXPECT_EQ(window.totalElements(), 9u);
-  EXPECT_NEAR(window.seconds(), 2.0, 0.01);
-  EXPECT_NEAR(window.elementsPerSecond(), 4.5, 0.1);
-  EXPECT_NE(window.summary().find("data=7el"), std::string::npos);
 }
 
 TEST(Table, PrintsAlignedColumns) {
