@@ -1,21 +1,13 @@
 // Micro-benchmarks of the substrate (google-benchmark): event loop, queue
-// operations, state serialization, network path, RNG -- plus a wall-clock
-// seed-sweep throughput report (BENCH_substrate.json) comparing serial and
-// parallel sweeps, which is where the substrate's seeds-per-minute
-// acceptance number comes from.
+// operations, state serialization, network path, RNG. The end-to-end
+// seeds-per-minute number lives in bench/perf (chaos_sweep.seeds_per_min).
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "checkpoint/state.hpp"
 #include "cluster/machine.hpp"
 #include "common/rng.hpp"
-#include "exp/sweep.hpp"
-#include "harness/chaos_harness.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "stream/pe.hpp"
@@ -178,105 +170,7 @@ void BM_RngExponential(benchmark::State& state) {
 }
 BENCHMARK(BM_RngExponential);
 
-// -- Seed-sweep throughput report (BENCH_substrate.json) ----------------------
-//
-// The substrate's end-to-end acceptance number: chaos-style seeds per minute
-// of wall clock, serial and over the worker pool the sweeps actually run
-// with. The JSON is written to $STREAMHA_BENCH_DIR (default: the working
-// directory).
-
-/// One mid-weight chaos seed: Hybrid, loss + duplicates + jitter, a healed
-/// partition and a restarting crash, compressed into a 10s run.
-ScenarioParams substrateSweepParams(std::uint64_t seed) {
-  ScenarioParams p;
-  p.mode = HaMode::kHybrid;
-  p.protectedSubjobs = {1, 2};
-  p.provisionSpares = true;
-  p.failStopAfter = 3 * kSecond;
-  p.duration = 10 * kSecond;
-  p.seed = seed;
-  harness::ChaosProfile profile;
-  profile.maxDuplicateProb = 0.05;
-  profile.maxDelayProb = 0.1;
-  profile.restartCrashed = true;
-  profile.faultsFrom = 3 * kSecond;
-  profile.faultsUntil = 8 * kSecond;
-  const harness::ChaosPlan plan = harness::makeChaosPlan(p, profile, seed);
-  p.faults = plan.schedule;
-  p.faultSeedSalt = seed;
-  return p;
-}
-
-double measureSeedsPerMinute(int nSeeds, int threads) {
-  std::vector<std::uint64_t> seeds;
-  for (int i = 0; i < nSeeds; ++i) seeds.push_back(1 + i);
-  harness::ChaosRunOpts opts;
-  opts.quiescentDrain = false;
-  opts.maxDrain = 8 * kSecond;
-  SweepOptions sweep;
-  sweep.threads = threads;
-  const auto t0 = std::chrono::steady_clock::now();
-  runSeedSweep(
-      seeds,
-      [&](std::uint64_t seed, std::size_t) {
-        const harness::ChaosOutcome out =
-            harness::runChaosScenario(substrateSweepParams(seed), opts);
-        if (!out.oracle.ok) {
-          std::fprintf(stderr, "substrate sweep: seed %llu failed its oracle\n",
-                       static_cast<unsigned long long>(seed));
-        }
-      },
-      sweep);
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return secs > 0.0 ? nSeeds * 60.0 / secs : 0.0;
-}
-
-void writeSubstrateReport() {
-  const int nSeeds = 16;
-  const int threads = sweepThreadCount(0);
-  std::printf("\nseed-sweep throughput (%d seeds, %d worker threads)...\n",
-              nSeeds, threads);
-  const double serialBatched = measureSeedsPerMinute(nSeeds, 1);
-  const double parallelBatched = measureSeedsPerMinute(nSeeds, threads);
-  const double parallelSpeedup =
-      serialBatched > 0.0 ? parallelBatched / serialBatched : 0.0;
-
-  const char* dir = std::getenv("STREAMHA_BENCH_DIR");
-  const std::string path =
-      std::string(dir != nullptr ? dir : ".") + "/BENCH_substrate.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"substrate_seed_sweep\",\n"
-               "  \"seeds\": %d,\n"
-               "  \"threads\": %d,\n"
-               "  \"serialBatchedSeedsPerMinute\": %.2f,\n"
-               "  \"parallelBatchedSeedsPerMinute\": %.2f,\n"
-               "  \"parallelSpeedup\": %.3f\n"
-               "}\n",
-               nSeeds, threads, serialBatched, parallelBatched,
-               parallelSpeedup);
-  std::fclose(f);
-  std::printf(
-      "seeds/min: serial-batched %.1f, parallel-batched %.1f "
-      "(x%.2f; report: %s)\n",
-      serialBatched, parallelBatched, parallelSpeedup, path.c_str());
-}
-
 }  // namespace
 }  // namespace streamha
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  streamha::writeSubstrateReport();
-  return 0;
-}
+BENCHMARK_MAIN();
