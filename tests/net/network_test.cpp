@@ -138,7 +138,7 @@ TEST_F(NetFixture, ZeroByteControlMessageStillHasLatency) {
 TEST_F(NetFixture, CounterSubtractionCoversEveryKindAndTotals) {
   Network net = makeNet();
   // Baseline traffic: one message of every kind.
-  for (int k = 0; k < kMsgKindCount; ++k) {
+  for (std::size_t k = 0; k < kMsgKindCount; ++k) {
     net.send(0, 1, static_cast<MsgKind>(k), 10 * (k + 1),
              static_cast<std::uint64_t>(k), [] {});
   }
@@ -146,7 +146,7 @@ TEST_F(NetFixture, CounterSubtractionCoversEveryKindAndTotals) {
   const auto baseline = net.snapshot();
   // Window traffic: two more of every kind.
   for (int round = 0; round < 2; ++round) {
-    for (int k = 0; k < kMsgKindCount; ++k) {
+    for (std::size_t k = 0; k < kMsgKindCount; ++k) {
       net.send(1, 0, static_cast<MsgKind>(k), 5,
                static_cast<std::uint64_t>(k) + 1, [] {});
     }
@@ -154,7 +154,7 @@ TEST_F(NetFixture, CounterSubtractionCoversEveryKindAndTotals) {
   sim.runAll();
   const auto delta = net.snapshot() - baseline;
   std::uint64_t messages = 0, elements = 0, bytes = 0;
-  for (int k = 0; k < kMsgKindCount; ++k) {
+  for (std::size_t k = 0; k < kMsgKindCount; ++k) {
     const auto kind = static_cast<MsgKind>(k);
     EXPECT_EQ(delta.messagesOf(kind), 2u) << toString(kind);
     EXPECT_EQ(delta.elementsOf(kind), 2u * (static_cast<std::uint64_t>(k) + 1))
