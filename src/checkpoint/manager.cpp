@@ -246,7 +246,7 @@ void CheckpointManager::releaseAcks(PeInstance& pe, const Acks& acks,
   // re-persist has since outdated.
   if (stopped_ || pe.terminated() || ackEpoch != ack_epoch_) return;
   if (barrier == nullptr) {
-    pe.flushAcks(acks);
+    pe.input().flushAcks(acks);
   } else if (!barrier->resolved) {
     barrier->held.emplace_back(&pe, acks);
   }

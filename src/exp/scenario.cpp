@@ -145,13 +145,10 @@ void Scenario::build() {
   }
 
   if (!params_.faults.empty()) {
+    // Armed before the Runtime is built: the installed fault hook is what
+    // switches the Runtime's loss-recovery machinery on.
     injector_ = std::make_unique<FaultInjector>(*cluster_, params_.faults,
                                                 params_.faultSeedSalt);
-    // Faulty transport needs the loss-recovery machinery on; keep any value
-    // the caller chose explicitly.
-    if (params_.costs.retransmitTimeout == 0) {
-      params_.costs.retransmitTimeout = 250 * kMillisecond;
-    }
   }
 
   // Arm the control-plane ARQ layer when faults can lose messages OR when
@@ -164,9 +161,7 @@ void Scenario::build() {
       (params_.flow.enabled && params_.flow.sendWindow > 0);
   if (wantArq && !cluster_->network().reliableEnabled()) {
     ReliableParams arq;
-    arq.retryTimeout = params_.costs.retransmitTimeout != 0
-                           ? params_.costs.retransmitTimeout
-                           : 250 * kMillisecond;
+    arq.retryTimeout = Runtime::kRetransmitTimeout;
     if (params_.flow.enabled) {
       arq.sendWindow = params_.flow.sendWindow;
       arq.parkedCap = params_.flow.parkedCap;
@@ -190,7 +185,7 @@ void Scenario::build() {
       };
     }
   }
-  runtime_ = std::make_unique<Runtime>(*cluster_, spec, params_.costs);
+  runtime_ = std::make_unique<Runtime>(*cluster_, spec);
 
   Source::Params sourceParams;
   sourceParams.ratePerSec = params_.dataRatePerSec;

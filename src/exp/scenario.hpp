@@ -174,10 +174,10 @@ struct ScenarioParams {
 
   // -- Fault injection --------------------------------------------------------
   /// Declarative fault schedule (see fault/schedule.hpp). When non-empty,
-  /// build() arms a FaultInjector on the cluster and -- unless the caller set
-  /// them explicitly -- enables the loss-recovery machinery
-  /// (costs.retransmitTimeout) and the checkpoint confirm-timeout guard, so
-  /// chaos runs converge to exactly-once delivery.
+  /// build() arms a FaultInjector on the cluster before it builds the
+  /// Runtime, which switches the Runtime's loss-recovery machinery on (see
+  /// Runtime::kRetransmitTimeout), and enables the checkpoint
+  /// confirm-timeout guard, so chaos runs converge to exactly-once delivery.
   FaultSchedule faults;
   /// Extra salt mixed into the injector's RNG stream (vary fault randomness
   /// without disturbing the rest of the run).
@@ -187,7 +187,6 @@ struct ScenarioParams {
   SimDuration warmup = 2 * kSecond;
   SimDuration duration = 30 * kSecond;
   std::uint64_t seed = 1;
-  Runtime::Costs costs;
 };
 
 struct ScenarioResult {

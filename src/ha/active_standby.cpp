@@ -20,7 +20,7 @@ void ActiveStandbyCoordinator::setup() {
   // copies have consumed it; downstream dedups whatever arrives second.
   rt_.wireInstance(*secondary_, Runtime::WireOpts{true, true},
                    Runtime::WireOpts{true, true});
-  secondary_->startAckTimer(rt_.costs().ackFlushInterval);
+  secondary_->startAckTimer();
   installDetectors();
 }
 
@@ -70,7 +70,7 @@ void ActiveStandbyCoordinator::replaceCopy(Replica which) {
   tearDown(*dead);
 
   cluster().machine(spare).submitData(
-      rt_.costs().deployWorkUs, [this, which, survivor, spare, idx] {
+      Runtime::kDeployWorkUs, [this, which, survivor, spare, idx] {
         Subjob& copy = rt_.instantiate(subjob_, spare, which);
         copy.setAckPolicy(AckPolicy::kOnProcess);
         markRedeployDone(idx, spare);
@@ -99,9 +99,8 @@ void ActiveStandbyCoordinator::replaceCopy(Replica which) {
                     Runtime::WireOpts{false, false},
                     [this, &copy, state, idx] {
                       markConnectionsReady(idx, copy.machine().id());
-                      activateRestoredInstance(copy, state,
-                                               /*gateInbound=*/true);
-                      copy.startAckTimer(rt_.costs().ackFlushInterval);
+                      rt_.activateRestoredInstance(copy, state);
+                      copy.startAckTimer();
                       installDetectors();
                       replacing_ = false;
                     });

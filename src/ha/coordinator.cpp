@@ -108,23 +108,9 @@ void HaCoordinator::startCheckpointing() {
 }
 
 void HaCoordinator::tearDown(Subjob& copy) {
-  isolateInstance(copy);
+  rt_.isolateInstance(copy);
   copy.terminateAll();
   rt_.removeWiresOf(copy);
-}
-
-ElementSeq HaCoordinator::stateWatermark(const SubjobState& state,
-                                         const PeInstance& consumerPe,
-                                         StreamId stream) {
-  const auto peIt = state.pes.find(consumerPe.logicalId());
-  if (peIt == state.pes.end()) return 0;
-  // Conventional checkpoints persisted the received backlog, so resumption
-  // starts after everything *received*; sweeping resumes after everything
-  // *processed*.
-  const auto recvIt = peIt->second.receivedWatermark.find(stream);
-  if (recvIt != peIt->second.receivedWatermark.end()) return recvIt->second;
-  const auto procIt = peIt->second.processedWatermark.find(stream);
-  return procIt == peIt->second.processedWatermark.end() ? 0 : procIt->second;
 }
 
 bool HaCoordinator::stateAdvances(const SubjobState& state, Subjob& instance) {
@@ -140,63 +126,6 @@ bool HaCoordinator::stateAdvances(const SubjobState& state, Subjob& instance) {
     }
   }
   return true;
-}
-
-void HaCoordinator::activateRestoredInstance(Subjob& copy,
-                                             const SubjobState& state,
-                                             bool gateInbound) {
-  for (Runtime::Wire* wire : rt_.wiresInto(copy)) {
-    const ElementSeq wm =
-        wire->consumerPe == nullptr
-            ? 0
-            : stateWatermark(state, *wire->consumerPe, wire->stream);
-    // Position the cursor while inactive (no send), then activate (pushes
-    // from the cursor) and optionally start gating upstream trimming.
-    rt_.retransmitWire(*wire, wm + 1);
-    rt_.setWireActive(*wire, true);
-    if (gateInbound) wire->oq->setConnectionGating(wire->connId, true);
-  }
-  // Local PE-to-PE wires are not in wiresInto, but need the same treatment:
-  // an adoption may rewind a downstream PE below what it acked during an
-  // earlier active window, and the stale ack record would let the next trim
-  // discard the very span the PE has to reprocess -- an unfillable internal
-  // gap, because nothing upstream retains a local wire's elements. Rewind
-  // the ack gate to the restored watermark and replay from there.
-  for (Runtime::Wire* wire : rt_.localWiresInto(copy)) {
-    if (wire->consumerPe == nullptr) continue;
-    const ElementSeq wm = stateWatermark(state, *wire->consumerPe, wire->stream);
-    wire->oq->rewindAck(wire->connId, wm);
-    rt_.retransmitWire(*wire, wm + 1);
-  }
-  for (Runtime::Wire* wire : rt_.wiresOutOf(copy)) {
-    rt_.setWireActive(*wire, true);
-    wire->oq->setConnectionGating(wire->connId, true);
-  }
-  // The activated copy inherits whatever backlog its input queues hold
-  // (standby queues keep receiving while dormant); re-evaluate the overload
-  // flags so the source is throttled if that backlog is already past the
-  // threshold (flow/).
-  copy.pokeFlowPressure();
-}
-
-void HaCoordinator::deactivateInstanceWires(Subjob& copy) {
-  for (Runtime::Wire* wire : rt_.wiresInto(copy)) {
-    rt_.setWireActive(*wire, false);
-    wire->oq->setConnectionGating(wire->connId, false);
-  }
-  for (Runtime::Wire* wire : rt_.wiresOutOf(copy)) {
-    rt_.setWireActive(*wire, false);
-  }
-  // Dormant again: its backlog must not keep the source paused (flow/).
-  copy.releaseFlowPressure();
-}
-
-void HaCoordinator::isolateInstance(Subjob& copy) {
-  for (Runtime::Wire* wire : rt_.wiresInto(copy)) {
-    rt_.releaseTrimGate(*wire);
-    rt_.setWireActive(*wire, false);
-  }
-  copy.releaseFlowPressure();
 }
 
 void HaCoordinator::watchFirstOutput(Subjob& copy, std::size_t timelineIdx,

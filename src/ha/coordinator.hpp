@@ -158,20 +158,6 @@ class HaCoordinator {
   std::unique_ptr<FailureDetector> startDetector(
       Machine& monitor, Machine& target, FailureDetector::Callbacks callbacks);
 
-  /// Position every inbound wire of `copy` at the state's watermark, then
-  /// activate it (and optionally make it gate trimming); activate + gate all
-  /// outbound wires. Restored output-queue contents flow downstream on
-  /// activation.
-  void activateRestoredInstance(Subjob& copy, const SubjobState& state,
-                                bool gateInbound);
-
-  /// Deactivate the wires of a standby going back to suspension.
-  void deactivateInstanceWires(Subjob& copy);
-
-  /// Cut a dead/demoted copy loose: stop its connections from gating
-  /// upstream trimming and deactivate them.
-  void isolateInstance(Subjob& copy);
-
   /// Record firstOutputAt on recoveries_[timelineIdx] when `copy` produces
   /// its first genuinely *new* element: one with sequence number at or past
   /// `baseline` (the stream position the failed copy had reached when the
@@ -180,11 +166,6 @@ class HaCoordinator {
   /// retransmission/reprocessing phase.
   void watchFirstOutput(Subjob& copy, std::size_t timelineIdx,
                         ElementSeq baseline);
-
-  /// Watermark the state holds for (consumer PE, stream); 0 if unknown.
-  static ElementSeq stateWatermark(const SubjobState& state,
-                                   const PeInstance& consumerPe,
-                                   StreamId stream);
 
   /// True when `state` is at or ahead of `instance` on every PE/stream --
   /// the safety condition for read-state-on-rollback.

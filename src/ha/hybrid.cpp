@@ -102,7 +102,7 @@ void HybridCoordinator::beginSwitchover(SimTime detectedAt) {
   Machine& standby = predeployed ? secondary_->machine()
                                  : cluster().machine(params_.standbyMachine);
   const double work =
-      predeployed ? rt_.costs().resumeWorkUs : rt_.costs().deployWorkUs;
+      predeployed ? Runtime::kResumeWorkUs : Runtime::kDeployWorkUs;
   resume_in_flight_ = true;
   standby.submitData(work, [this, idx, predeployed] {
     resume_in_flight_ = false;
@@ -117,7 +117,7 @@ void HybridCoordinator::beginSwitchover(SimTime detectedAt) {
     // secondary acks as it processes (keeping its own queues trimmed).
     // Safety is unaffected -- its upstream connections never gate trim.
     secondary_->setAckPolicy(AckPolicy::kOnProcess);
-    secondary_->startAckTimer(rt_.costs().ackFlushInterval);
+    secondary_->startAckTimer();
     if (!predeployed) store_->attachReplica(subjob_, secondary_);
     markRedeployDone(idx, secondary_->machine().id());
     if (predeployed && params_.earlyConnections) {
@@ -147,7 +147,7 @@ void HybridCoordinator::completeSwitchover(std::size_t timelineIdx) {
   // a later promotion (fail-stop or flap quarantine) would then discard the
   // only copy that covers the trimmed range. finishRollback() and
   // deactivateInstanceWires() drop the gate when the secondary re-suspends.
-  activateRestoredInstance(*secondary_, state, /*gateInbound=*/true);
+  rt_.activateRestoredInstance(*secondary_, state);
 }
 
 void HybridCoordinator::onRecovery(SimTime recoveredAt) {
@@ -246,7 +246,7 @@ void HybridCoordinator::onRecovery(SimTime recoveredAt) {
       secondary_->stopAckTimer();
       secondary_->setAckPolicy(AckPolicy::kOnCheckpoint);
       quiescer_.release();
-      deactivateInstanceWires(*secondary_);
+      rt_.deactivateInstanceWires(*secondary_);
       currentTimeline().rollbackDoneAt = sim().now();
       recordIncidentEvent(TraceEventType::kRollbackEnd,
                           currentTimeline().incidentId,
@@ -298,9 +298,9 @@ void HybridCoordinator::onRecovery(SimTime recoveredAt) {
             primary_->applyState(state);
             for (Runtime::Wire* wire : rt_.wiresInto(*primary_)) {
               if (wire->consumerPe == nullptr) continue;
-              const ElementSeq wm =
-                  stateWatermark(state, *wire->consumerPe, wire->stream);
-              rt_.retransmitWire(*wire, wm + 1);
+              const ElementSeq wm = Runtime::stateWatermark(
+                  state, *wire->consumerPe, wire->stream);
+              wire->oq->retransmitFrom(wire->connId, wm + 1);
             }
             // Re-persist the adopted state so upstream acks (and trimming)
             // resume from it. In delta mode the adopted versions and the
@@ -379,7 +379,7 @@ void HybridCoordinator::promote() {
   }
   // Stand up a fresh standby on the spare machine (full deployment cost),
   // then resume checkpointing against it.
-  cluster().machine(spare).submitData(rt_.costs().deployWorkUs,
+  cluster().machine(spare).submitData(Runtime::kDeployWorkUs,
                                       [this, spare] {
                                         standUpStandby(spare);
                                         params_.spareMachine = kNoMachine;

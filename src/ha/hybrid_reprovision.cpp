@@ -190,7 +190,7 @@ void HybridCoordinator::deployReplacement() {
                                           : kNoMachine,
                       target, reprovision_state_.sizeBytes());
   cluster().machine(target).submitData(
-      rt_.costs().deployWorkUs, [this, epoch, target] {
+      Runtime::kDeployWorkUs, [this, epoch, target] {
         if (epoch != place_epoch_ || !reprovisioning_) return;
         activateReplacement(target);
       });
@@ -212,8 +212,7 @@ void HybridCoordinator::activateReplacement(MachineId target) {
         // Inbound wires rewind to the checkpoint watermarks and replay the
         // retained upstream queues; outbound duplicates below the baseline
         // are absorbed by downstream dedup.
-        activateRestoredInstance(*primary_, reprovision_state_,
-                                 /*gateInbound=*/true);
+        rt_.activateRestoredInstance(*primary_, reprovision_state_);
         ++reprovisions_;
         reprovision_target_ = kNoMachine;
         rebuild_reason_ = RebuildReason::kAfterReprovision;
@@ -272,7 +271,7 @@ void HybridCoordinator::rebuildStandby() {
   rebuild_target_ = target;
   watchMachine(target);
   cluster().machine(target).submitData(
-      rt_.costs().deployWorkUs, [this, epoch, target] {
+      Runtime::kDeployWorkUs, [this, epoch, target] {
         if (epoch != place_epoch_ ||
             rebuild_reason_ == RebuildReason::kNone) {
           return;

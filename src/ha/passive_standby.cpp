@@ -46,7 +46,7 @@ void PassiveStandbyCoordinator::onFailure(SimTime detectedAt) {
 
   // Full on-demand deployment on the standby machine.
   Machine& standby = cluster().machine(standby_machine_);
-  standby.submitData(rt_.costs().deployWorkUs, [this, idx, baseline] {
+  standby.submitData(Runtime::kDeployWorkUs, [this, idx, baseline] {
     Subjob& copy = rt_.instantiate(subjob_, standby_machine_,
                                    Replica::kSecondary);
     copy.setAckPolicy(AckPolicy::kOnCheckpoint);
@@ -60,7 +60,7 @@ void PassiveStandbyCoordinator::onFailure(SimTime detectedAt) {
         copy, Runtime::WireOpts{false, false}, Runtime::WireOpts{false, false},
         [this, &copy, state, idx] {
           markConnectionsReady(idx, copy.machine().id());
-          activateRestoredInstance(copy, state, /*gateInbound=*/true);
+          rt_.activateRestoredInstance(copy, state);
           finishMigration(copy, idx);
         });
   });
@@ -79,7 +79,7 @@ void PassiveStandbyCoordinator::finishMigration(Subjob& copy,
 
   // Upstream stops feeding and waiting on the old copy immediately (these
   // are actions on the healthy upstream machines).
-  isolateInstance(*old);
+  rt_.isolateInstance(*old);
 
   // The old copy itself is told to terminate via a reliable control message
   // -- it lands whenever the stalled machine gets around to it (retried if
@@ -87,7 +87,7 @@ void PassiveStandbyCoordinator::finishMigration(Subjob& copy,
   // downstream dedup drops it.
   Subjob* oldPtr = old;
   net().sendReliable(copy.machine().id(), oldMachine, MsgKind::kControl,
-                     rt_.costs().controlMsgBytes, 0, [this, oldPtr] {
+                     Runtime::kControlMsgBytes, 0, [this, oldPtr] {
                        oldPtr->terminateAll();
                        rt_.removeWiresOf(*oldPtr);
                      });
@@ -95,7 +95,7 @@ void PassiveStandbyCoordinator::finishMigration(Subjob& copy,
   // Role swap: the old primary machine becomes the new standby.
   primary_ = &copy;
   standby_machine_ = oldMachine;
-  primary_->startAckTimer(rt_.costs().ackFlushInterval);
+  primary_->startAckTimer();
 
   replaceStore(cluster().machine(standby_machine_));
   startCheckpointing();

@@ -70,22 +70,6 @@ std::vector<MachineId> planPlacement(const JobSpec& spec,
 // LoadBalancer
 // ---------------------------------------------------------------------------
 
-namespace {
-
-ElementSeq migrationWatermark(const SubjobState& state,
-                              const PeInstance& consumerPe, StreamId stream) {
-  const auto peIt = state.pes.find(consumerPe.logicalId());
-  if (peIt == state.pes.end()) return 0;
-  // The migration state carried the input backlog, so resumption starts
-  // after everything *received*.
-  const auto recvIt = peIt->second.receivedWatermark.find(stream);
-  if (recvIt != peIt->second.receivedWatermark.end()) return recvIt->second;
-  const auto procIt = peIt->second.processedWatermark.find(stream);
-  return procIt == peIt->second.processedWatermark.end() ? 0 : procIt->second;
-}
-
-}  // namespace
-
 LoadBalancer::LoadBalancer(Runtime& runtime,
                            std::vector<MachineId> spareMachines, Params params)
     : rt_(runtime),
@@ -168,8 +152,8 @@ void LoadBalancer::migrateSubjob(Subjob& instance, MachineId target,
   auto doneShared = std::make_shared<std::function<void()>>(std::move(done));
 
   // 1. Deploy the new copy's process on the target (full deployment cost).
-  targetMachine.submitData(rt_.costs().deployWorkUs, [this, inst, target,
-                                                      doneShared] {
+  targetMachine.submitData(Runtime::kDeployWorkUs, [this, inst, target,
+                                                    doneShared] {
     // 2. Stop-and-copy: quiesce, capture everything (incl. input queues).
     quiescer_.quiesce(*inst, [this, inst, target, doneShared] {
       SubjobState state = inst->captureState(true, true);
@@ -183,31 +167,18 @@ void LoadBalancer::migrateSubjob(Subjob& instance, MachineId target,
                                                 Replica::kPrimary);
                  copy.applyState(state);
                  // 4. Connect (paying establishment costs), then cut over.
+                 // The migration state carried the input backlog, so the
+                 // copy resumes after everything *received*.
                  rt_.wireInstanceWithCost(
                      copy, Runtime::WireOpts{false, false},
                      Runtime::WireOpts{false, false},
                      [this, inst, &copy, state, doneShared] {
-                       for (Runtime::Wire* wire : rt_.wiresInto(copy)) {
-                         const ElementSeq wm =
-                             wire->consumerPe == nullptr
-                                 ? 0
-                                 : migrationWatermark(state, *wire->consumerPe,
-                                                      wire->stream);
-                         rt_.retransmitWire(*wire, wm + 1);
-                         rt_.setWireActive(*wire, true);
-                         wire->oq->setConnectionGating(wire->connId, true);
-                       }
-                       for (Runtime::Wire* wire : rt_.wiresOutOf(copy)) {
-                         rt_.setWireActive(*wire, true);
-                         wire->oq->setConnectionGating(wire->connId, true);
-                       }
-                       for (Runtime::Wire* wire : rt_.wiresInto(*inst)) {
-                         rt_.releaseTrimGate(*wire);
-                       }
+                       rt_.activateRestoredInstance(copy, state);
+                       rt_.isolateInstance(*inst);
                        quiescer_.release();
                        inst->terminateAll();
                        rt_.removeWiresOf(*inst);
-                       copy.startAckTimer(rt_.costs().ackFlushInterval);
+                       copy.startAckTimer();
                        ++migrations_;
                        migrating_ = false;
                        if (*doneShared) (*doneShared)();

@@ -118,10 +118,9 @@ void KeyedStateLogic::reset() {
 // PeInstance
 // ---------------------------------------------------------------------------
 
-PeInstance::PeInstance(Simulator& sim, Machine& machine, Network& net,
-                       PeParams params, std::unique_ptr<PeLogic> logic)
-    : sim_(sim),
-      machine_(machine),
+PeInstance::PeInstance(Machine& machine, Network& net, PeParams params,
+                       std::unique_ptr<PeLogic> logic)
+    : machine_(machine),
       params_(std::move(params)),
       logic_(std::move(logic)) {
   assert(logic_ != nullptr);
@@ -174,15 +173,6 @@ void PeInstance::onProcessed(std::uint64_t epoch) {
   if (!input_.empty()) {
     const Element e = input_.front();
     input_.pop();
-#ifdef STREAMHA_DEBUG_SEQ
-    if (!outputs_.empty() && outputs_[0]->nextSeq() != e.seq) {
-      std::fprintf(stderr,
-                   "[seq-misalign] t=%lld pe=%d machine=%d in=%llu out=%llu\n",
-                   (long long)sim_.now(), params_.logicalId, machine_.id(),
-                   (unsigned long long)e.seq,
-                   (unsigned long long)outputs_[0]->nextSeq());
-    }
-#endif
     scratch_emits_.clear();
     logic_->process(e, scratch_emits_);
     watermarks_[e.stream] = e.seq;
@@ -267,37 +257,8 @@ PeState PeInstance::peekState(bool includeOutputQueues,
 
 void PeInstance::storeJobState(const PeState& state) {
   assert(state.pe == params_.logicalId);
-#ifdef STREAMHA_DEBUG_SEQ
-  {
-    ElementSeq wm = 0;
-    for (const auto& [stream, w] : state.processedWatermark) wm = w;
-    ElementSeq n = 0;
-    for (const auto& port : state.ports) n = port.nextSeq;
-    if (n != 0 && n != wm + 1) {
-      std::fprintf(stderr,
-                   "[state-inconsistent] t=%lld pe=%d machine=%d wm=%llu "
-                   "nextSeq=%llu\n",
-                   (long long)sim_.now(), params_.logicalId, machine_.id(),
-                   (unsigned long long)wm, (unsigned long long)n);
-    }
-  }
-#endif
   ++epoch_;  // Invalidate any in-flight processing completion.
   in_flight_ = false;
-#ifdef STREAMHA_DEBUG_SEQ
-  for (const auto& [stream, wm] : state.processedWatermark) {
-    const auto cur = watermarks_.find(stream);
-    if (cur != watermarks_.end() && wm < cur->second) {
-      std::fprintf(stderr,
-                   "[restore-rewind] t=%lld pe=%d machine=%d stream=%d "
-                   "wm %llu -> %llu expected=%llu\n",
-                   (long long)sim_.now(), params_.logicalId, machine_.id(),
-                   stream, (unsigned long long)cur->second,
-                   (unsigned long long)wm,
-                   (unsigned long long)input_.expected(stream));
-    }
-  }
-#endif
   // Keep the per-PE checkpoint version monotonic across restores: after a
   // promotion this instance's own checkpoints must out-version everything the
   // old primary shipped, or the store would reject them as stale.
@@ -314,18 +275,10 @@ void PeInstance::storeJobState(const PeState& state) {
   for (const auto& [stream, wm] : watermarks_) {
     // Reset, not fast-forward: a restore may legitimately REWIND this PE
     // (e.g. the checkpointed state lags what a briefly-activated secondary
-    // processed on its own). The input dedup point must follow the state
-    // down, or retransmissions of the rewound span are dropped as
-    // duplicates and their outputs are lost for good.
+    // processed on its own). The input dedup point and ack record must
+    // follow the state down, or retransmissions of the rewound span are
+    // dropped as duplicates and their outputs are lost for good.
     input_.resetStream(stream, wm);
-    // The ack record must follow the state down as well: a rewound PE that
-    // still remembers its old (higher) ack would replay it on the next
-    // duplicate (enableAckResend) and trim the upstream queue past the very
-    // span it has to reprocess -- an unfillable gap.
-    const auto ackIt = last_ack_sent_.find(stream);
-    if (ackIt != last_ack_sent_.end() && ackIt->second > wm) {
-      ackIt->second = wm;
-    }
   }
   if (!state.inputBacklog.empty()) {
     input_.loadPending(state.inputBacklog);
@@ -347,34 +300,10 @@ void PeInstance::terminate() {
   terminated_ = true;
   ++epoch_;
   in_flight_ = false;
-  // A terminated copy's backlog must not keep the source throttled.
+  // A terminated copy's backlog must not keep the source throttled, and its
+  // duplicates must not re-send acks.
   input_.releasePressure();
-}
-
-void PeInstance::flushAcks(const std::map<StreamId, ElementSeq>& watermarks) {
-  std::map<StreamId, ElementSeq> advanced;
-  for (const auto& [stream, seq] : watermarks) {
-    auto it = last_ack_sent_.find(stream);
-    if (it == last_ack_sent_.end() || it->second < seq) {
-      advanced[stream] = seq;
-      last_ack_sent_[stream] = seq;
-    }
-  }
-  if (!advanced.empty()) input_.sendAcks(advanced);
-}
-
-void PeInstance::enableAckResend(SimDuration minGap) {
-  ack_resend_min_gap_ = minGap;
-  input_.setDuplicateListener([this](StreamId stream) {
-    if (terminated_ || ack_resend_min_gap_ <= 0) return;
-    const auto acked = last_ack_sent_.find(stream);
-    if (acked == last_ack_sent_.end() || acked->second == 0) return;
-    const SimTime now = sim_.now();
-    auto& last = last_ack_resend_[stream];
-    if (last != 0 && now - last < ack_resend_min_gap_) return;
-    last = now;
-    input_.sendAcks({{stream, acked->second}});
-  });
+  input_.disarmAckResend();
 }
 
 }  // namespace streamha

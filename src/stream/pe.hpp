@@ -25,7 +25,6 @@
 #include "cluster/machine.hpp"
 #include "common/types.hpp"
 #include "net/network.hpp"
-#include "sim/simulator.hpp"
 #include "stream/queues.hpp"
 
 namespace streamha {
@@ -141,7 +140,7 @@ enum class AckPolicy : std::uint8_t {
 
 class PeInstance {
  public:
-  PeInstance(Simulator& sim, Machine& machine, Network& net, PeParams params,
+  PeInstance(Machine& machine, Network& net, PeParams params,
              std::unique_ptr<PeLogic> logic);
   PeInstance(const PeInstance&) = delete;
   PeInstance& operator=(const PeInstance&) = delete;
@@ -184,8 +183,9 @@ class PeInstance {
 
   /// Overwrite state from a checkpoint or state-read ("Our PE implementation
   /// has an interface named storeJobState(jobState) to overwrite the old
-  /// state with the new one."). Fast-forwards queue watermarks and restores
-  /// output queues; stale pending input at or below the watermark is dropped.
+  /// state with the new one."). Resets the input streams (dedup point and
+  /// ack record) to the restored watermarks and restores output queues;
+  /// stale pending input at or below the watermark is dropped.
   void storeJobState(const PeState& state);
 
   // -- Standby suspension -----------------------------------------------------
@@ -194,28 +194,16 @@ class PeInstance {
   void unsuspend();
   bool suspended() const { return suspended_; }
 
-  /// Permanently stop (old primary shut down after a PS migration).
+  /// Permanently stop (old primary shut down after a PS migration). Also
+  /// disarms the input queue's ack resend.
   void terminate();
   bool terminated() const { return terminated_; }
 
   // -- Acknowledgments --------------------------------------------------------
 
+  /// Acks themselves go through input().flushAcks (see InputQueue).
   void setAckPolicy(AckPolicy policy) { ack_policy_ = policy; }
   AckPolicy ackPolicy() const { return ack_policy_; }
-
-  /// Send accumulative acks for the given watermarks upstream, skipping
-  /// streams whose watermark has not advanced since the last flush.
-  void flushAcks(const std::map<StreamId, ElementSeq>& watermarks);
-
-  /// Flush acks at the current processed watermarks (kOnProcess policy).
-  void flushProcessedAcks() { flushAcks(watermarks_); }
-
-  /// Loss recovery: re-send the last ack for a stream whenever a duplicate
-  /// arrives (the upstream stall-retransmitter believes the consumer is
-  /// behind, so the previous ack must have been lost). Rate-limited to one
-  /// resend per stream per `minGap`. Off by default: active standby receives
-  /// duplicates by design and must not double its ack traffic.
-  void enableAckResend(SimDuration minGap);
 
   // -- Introspection ----------------------------------------------------------
 
@@ -238,7 +226,6 @@ class PeInstance {
   void onProcessed(std::uint64_t epoch);
   void enterPaused();
 
-  Simulator& sim_;
   Machine& machine_;
   PeParams params_;
   std::unique_ptr<PeLogic> logic_;
@@ -255,9 +242,6 @@ class PeInstance {
 
   AckPolicy ack_policy_ = AckPolicy::kOnProcess;
   std::map<StreamId, ElementSeq> watermarks_;      ///< Processed, per stream.
-  std::map<StreamId, ElementSeq> last_ack_sent_;
-  std::map<StreamId, SimTime> last_ack_resend_;
-  SimDuration ack_resend_min_gap_ = 0;  ///< 0 = resend-on-duplicate off.
   std::uint64_t processed_count_ = 0;
   std::uint64_t checkpoint_version_ = 0;
   std::vector<PeLogic::Emit> scratch_emits_;

@@ -2,40 +2,17 @@
 
 namespace streamha {
 
-Sink::Sink(Simulator& sim, Machine& machine, Params params)
+Sink::Sink(Simulator& sim, Machine& machine)
     : sim_(sim),
       machine_(machine),
-      params_(params),
-      ack_timer_(sim, params.ackFlushInterval, [this] {
-        std::map<StreamId, ElementSeq> advanced;
-        for (const auto& [stream, seq] : watermarks_) {
-          if (last_acked_[stream] < seq) {
-            advanced[stream] = seq;
-            last_acked_[stream] = seq;
-          }
-        }
-        if (!advanced.empty()) input_.sendAcks(advanced);
-      }) {
+      ack_timer_(sim, kAckFlushInterval,
+                 [this] { input_.flushAcks(watermarks_); }) {
   input_.setArrivalListener([this] { drain(); });
 }
 
 void Sink::subscribe(StreamId stream) { input_.subscribe(stream); }
 
 void Sink::start() { ack_timer_.start(); }
-
-void Sink::enableAckResend(SimDuration minGap) {
-  ack_resend_min_gap_ = minGap;
-  input_.setDuplicateListener([this](StreamId stream) {
-    if (ack_resend_min_gap_ <= 0) return;
-    const auto acked = last_acked_.find(stream);
-    if (acked == last_acked_.end() || acked->second == 0) return;
-    const SimTime now = sim_.now();
-    auto& last = last_ack_resend_[stream];
-    if (last != 0 && now - last < ack_resend_min_gap_) return;
-    last = now;
-    input_.sendAcks({{stream, acked->second}});
-  });
-}
 
 void Sink::stop() { ack_timer_.stop(); }
 
@@ -48,7 +25,7 @@ void Sink::drain() {
     watermarks_[e.stream] = e.seq;
     const double delay_ms = toMillis(sim_.now() - e.sourceTs);
     delays_.add(delay_ms);
-    if (params_.keepSeries) series_.emplace_back(sim_.now(), delay_ms);
+    series_.emplace_back(sim_.now(), delay_ms);
   }
 }
 

@@ -1,8 +1,9 @@
 // The job's terminal consumer.
 //
-// Records end-to-end element delay and acknowledges receipt immediately (a
-// sink has no downstream, so its data never needs to be replayed; its acks
-// are what start the sweeping-checkpoint cascade at the tail of the chain).
+// Records end-to-end element delay and acknowledges receipt every
+// kAckFlushInterval through its input queue's ack ledger (a sink has no
+// downstream, so its data never needs to be replayed; its acks are what
+// start the sweeping-checkpoint cascade at the tail of the chain).
 #pragma once
 
 #include <cstdint>
@@ -19,12 +20,7 @@ namespace streamha {
 
 class Sink {
  public:
-  struct Params {
-    SimDuration ackFlushInterval = 10 * kMillisecond;
-    bool keepSeries = true;  ///< Record (arrival, delay) pairs for windowing.
-  };
-
-  Sink(Simulator& sim, Machine& machine, Params params);
+  Sink(Simulator& sim, Machine& machine);
   Sink(const Sink&) = delete;
   Sink& operator=(const Sink&) = delete;
 
@@ -61,17 +57,11 @@ class Sink {
   /// Reset delay statistics (e.g. after a warm-up period).
   void resetStats();
 
-  /// Loss recovery: resend the last ack when a duplicate arrives (a lost ack
-  /// is the only reason a correct upstream retransmits to the sink).
-  /// Rate-limited per stream; off by default (see PeInstance::enableAckResend).
-  void enableAckResend(SimDuration minGap);
-
  private:
   void drain();
 
   Simulator& sim_;
   Machine& machine_;
-  Params params_;
   InputQueue input_;
   PeriodicTimer ack_timer_;
   std::uint64_t received_ = 0;
@@ -79,9 +69,6 @@ class Sink {
   SampleSet delays_;
   std::vector<std::pair<SimTime, double>> series_;
   std::map<StreamId, ElementSeq> watermarks_;
-  std::map<StreamId, ElementSeq> last_acked_;
-  std::map<StreamId, SimTime> last_ack_resend_;
-  SimDuration ack_resend_min_gap_ = 0;
 };
 
 }  // namespace streamha

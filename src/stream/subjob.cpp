@@ -44,11 +44,13 @@ void Subjob::setAckPolicy(AckPolicy policy) {
   for (auto& pe : pes_) pe->setAckPolicy(policy);
 }
 
-void Subjob::startAckTimer(SimDuration interval) {
-  ack_timer_ = std::make_unique<PeriodicTimer>(sim_, interval, [this] {
+void Subjob::startAckTimer() {
+  ack_timer_ = std::make_unique<PeriodicTimer>(sim_, kAckFlushInterval, [this] {
     if (!alive()) return;
     for (auto& pe : pes_) {
-      if (pe->ackPolicy() == AckPolicy::kOnProcess) pe->flushProcessedAcks();
+      if (pe->ackPolicy() == AckPolicy::kOnProcess) {
+        pe->input().flushAcks(pe->watermarks());
+      }
     }
   });
   ack_timer_->start();

@@ -49,8 +49,9 @@ class Subjob {
 
   void setAckPolicy(AckPolicy policy);
 
-  /// Start / stop the periodic ack flush used by kOnProcess instances.
-  void startAckTimer(SimDuration interval);
+  /// Start / stop the periodic ack flush (every kAckFlushInterval) of the
+  /// kOnProcess PEs at their processed watermarks.
+  void startAckTimer();
   void stopAckTimer();
 
   // -- Flow control (flow/) ----------------------------------------------------

@@ -161,7 +161,7 @@ TEST(CheckpointManager, SweepingFallbackTimerKeepsCheckpointingWithoutTrims) {
   params.logicalId = 0;
   params.outputStreams = {10};
   auto& pe = subjob.addPe(std::make_unique<PeInstance>(
-      sim, machine, net, std::move(params),
+      machine, net, std::move(params),
       std::make_unique<SyntheticLogic>(1.0, 64)));
   pe.input().subscribe(9);
   StateStore store(sim, storeMachine);
@@ -191,7 +191,7 @@ TEST(CheckpointManager, StopWithdrawsAPendingPause) {
   params.logicalId = 0;
   params.outputStreams = {10};
   auto& pe = subjob.addPe(std::make_unique<PeInstance>(
-      sim, machine, net, std::move(params),
+      machine, net, std::move(params),
       std::make_unique<SyntheticLogic>(1.0, 64)));
   pe.input().subscribe(9);
   StateStore store(sim, storeMachine);
@@ -304,7 +304,7 @@ struct FenceRig {
       params.logicalId = static_cast<LogicalPeId>(i);
       params.outputStreams = {in + 1};
       auto& pe = subjob.addPe(std::make_unique<PeInstance>(
-          sim, machine, net, std::move(params),
+          machine, net, std::move(params),
           std::make_unique<SyntheticLogic>(1.0, stateBytes[i])));
       pe.input().subscribe(in);
       pe.input().addUpstream(in, [this](StreamId stream, ElementSeq seq) {

@@ -102,7 +102,7 @@ TEST_F(StoreFixture, AttachedReplicaIsRefreshedWhileSuspended) {
   params.logicalId = 0;
   params.outputStreams = {20};
   auto& pe = replica.addPe(std::make_unique<PeInstance>(
-      sim, *machine, net, params, std::make_unique<SyntheticLogic>(1.0, 64)));
+      *machine, net, params, std::make_unique<SyntheticLogic>(1.0, 64)));
   pe.input().subscribe(10);
   replica.suspendAll();
   store.attachReplica(1, &replica);
@@ -213,7 +213,7 @@ TEST_F(DeltaStoreFixture, DeltaShipsRefreshAttachedReplica) {
   params.logicalId = 0;
   params.outputStreams = {20};
   auto& pe = replica.addPe(std::make_unique<PeInstance>(
-      sim, *machine, net, params, std::make_unique<SyntheticLogic>(1.0, 64)));
+      *machine, net, params, std::make_unique<SyntheticLogic>(1.0, 64)));
   pe.input().subscribe(10);
   replica.suspendAll();
   store.attachReplica(1, &replica);
@@ -234,7 +234,7 @@ TEST_F(DeltaStoreFixture, FullDeltaOverLargerStateLeavesNoStaleTail) {
   params.logicalId = 0;
   params.outputStreams = {20};
   auto& pe = replica.addPe(std::make_unique<PeInstance>(
-      sim, *machine, net, params, std::make_unique<KeyedStateLogic>(1.0, 256, 64)));
+      *machine, net, params, std::make_unique<KeyedStateLogic>(1.0, 256, 64)));
   pe.input().subscribe(10);
   replica.suspendAll();
   store.attachReplica(1, &replica);

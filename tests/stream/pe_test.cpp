@@ -20,7 +20,7 @@ struct PeFixture : ::testing::Test {
     params.workPerElementUs = workUs;
     params.outputStreams = {20};
     auto pe = std::make_unique<PeInstance>(
-        sim, *machine, net, params,
+        *machine, net, params,
         std::make_unique<SyntheticLogic>(selectivity, 64));
     pe->input().subscribe(10);
     return pe;
@@ -204,12 +204,30 @@ TEST_F(PeFixture, FlushAcksSendsOnlyAdvancedWatermarks) {
   auto pe = makePe();
   std::vector<ElementSeq> acks;
   pe->input().addUpstream(10, [&](StreamId, ElementSeq q) { acks.push_back(q); });
-  pe->flushAcks({{10, 5}});
-  pe->flushAcks({{10, 5}});  // Unchanged: suppressed.
-  pe->flushAcks({{10, 7}});
+  pe->input().flushAcks({{10, 5}});
+  pe->input().flushAcks({{10, 5}});  // Unchanged: suppressed.
+  pe->input().flushAcks({{10, 7}});
   ASSERT_EQ(acks.size(), 2u);
   EXPECT_EQ(acks[0], 5u);
   EXPECT_EQ(acks[1], 7u);
+}
+
+TEST_F(PeFixture, TerminateDisarmsAckResend) {
+  auto pe = makePe();
+  std::vector<ElementSeq> acks;
+  pe->input().addUpstream(10,
+                          [&](StreamId, ElementSeq q) { acks.push_back(q); });
+  pe->input().armAckResend(sim);
+  feed(*pe, 1, 2);
+  sim.runUntil(kSecond);
+  pe->input().flushAcks(pe->watermarks());
+  ASSERT_EQ(acks.size(), 1u);
+  feed(*pe, 1, 1);  // Duplicate: resent.
+  EXPECT_EQ(acks.size(), 2u);
+  pe->terminate();
+  sim.runUntil(2 * kSecond);
+  feed(*pe, 1, 1);  // A terminated copy's duplicates resend nothing.
+  EXPECT_EQ(acks.size(), 2u);
 }
 
 TEST_F(PeFixture, SyntheticLogicSerializeRoundTrip) {

@@ -197,13 +197,14 @@ TEST_F(QueueFixture, InputQueueAcceptsInOrderAndDedups) {
 
 TEST_F(QueueFixture, InputQueueDropsOutOfOrderWithoutAdvancing) {
   // Strict in-order delivery: a forward jump is held back (dropped pending
-  // retransmission), the watermark does not move, and the registered gap
-  // requesters learn the first missing sequence.
+  // retransmission), the watermark does not move, and the stream's gap
+  // routes learn the first missing sequence.
   InputQueue iq;
   iq.subscribe(7);
   std::vector<std::pair<StreamId, ElementSeq>> nacks;
-  iq.addGapRequester(
-      7, [&](StreamId s, ElementSeq from) { nacks.emplace_back(s, from); });
+  iq.addUpstream(
+      7, [](StreamId, ElementSeq) {},
+      [&](StreamId s, ElementSeq from) { nacks.emplace_back(s, from); });
   Element e;
   e.stream = 7;
   e.seq = 5;
@@ -221,20 +222,92 @@ TEST_F(QueueFixture, InputQueueDropsOutOfOrderWithoutAdvancing) {
   EXPECT_EQ(iq.expected(7), 2u);
 }
 
-TEST_F(QueueFixture, InputQueueDuplicateListenerFires) {
+/// Stream `stream`, seqs [from, to], as one batch.
+std::vector<Element> span(StreamId stream, ElementSeq from, ElementSeq to) {
+  std::vector<Element> batch;
+  for (ElementSeq seq = from; seq <= to; ++seq) {
+    Element e;
+    e.stream = stream;
+    e.seq = seq;
+    batch.push_back(e);
+  }
+  return batch;
+}
+
+/// An input queue consuming streams 7 and 8 whose ack routes record every
+/// (stream, upTo) they send, with resend-on-duplicate armed.
+struct AckLedgerFixture : QueueFixture {
   InputQueue iq;
-  iq.subscribe(7);
-  std::vector<StreamId> dups;
-  iq.setDuplicateListener([&](StreamId s) { dups.push_back(s); });
-  Element e;
-  e.stream = 7;
-  e.seq = 1;
-  iq.receive({e});
-  EXPECT_TRUE(dups.empty());
-  iq.receive({e});  // Stale copy: duplicate listener signals once per batch.
-  ASSERT_EQ(dups.size(), 1u);
-  EXPECT_EQ(dups[0], 7);
-  EXPECT_EQ(iq.duplicatesDropped(), 1u);
+  std::vector<std::pair<StreamId, ElementSeq>> acks;
+
+  AckLedgerFixture() {
+    for (StreamId stream : {7, 8}) {
+      iq.subscribe(stream);
+      iq.addUpstream(stream, [this](StreamId s, ElementSeq upTo) {
+        acks.emplace_back(s, upTo);
+      });
+    }
+    iq.armAckResend(sim);
+    // The rate limit treats a resend at time 0 as "never resent".
+    sim.runUntil(kSecond);
+  }
+};
+
+TEST_F(AckLedgerFixture, DuplicateResendsLastAckOncePerBatch) {
+  iq.receive(span(7, 1, 3));
+  iq.flushAcks({{7, 3}});
+  ASSERT_EQ(acks.size(), 1u);
+  iq.receive(span(7, 1, 3));  // Three duplicates in one batch.
+  ASSERT_EQ(acks.size(), 2u);
+  EXPECT_EQ(acks[1], std::make_pair(StreamId{7}, ElementSeq{3}));
+  EXPECT_EQ(iq.duplicatesDropped(), 3u);
+}
+
+TEST_F(AckLedgerFixture, ResendIsRateLimitedPerStream) {
+  iq.receive(span(7, 1, 2));
+  iq.receive(span(8, 1, 2));
+  iq.flushAcks({{7, 2}, {8, 2}});
+  ASSERT_EQ(acks.size(), 2u);
+  iq.receive(span(7, 1, 1));
+  iq.receive(span(7, 1, 1));  // Inside the gap: suppressed.
+  iq.receive(span(8, 1, 1));  // Stream 8 has its own limit.
+  ASSERT_EQ(acks.size(), 4u);
+  EXPECT_EQ(acks[2].first, 7);
+  EXPECT_EQ(acks[3].first, 8);
+  sim.runUntil(sim.now() + kAckFlushInterval);
+  iq.receive(span(7, 1, 1));
+  EXPECT_EQ(acks.size(), 5u);
+}
+
+TEST_F(AckLedgerFixture, NothingIsResentBeforeTheFirstAck) {
+  iq.receive(span(7, 1, 2));
+  iq.receive(span(7, 1, 2));
+  EXPECT_TRUE(acks.empty());
+  EXPECT_EQ(iq.duplicatesDropped(), 2u);
+}
+
+TEST_F(AckLedgerFixture, DisarmedQueueNeverResends) {
+  iq.disarmAckResend();
+  iq.receive(span(7, 1, 2));
+  iq.flushAcks({{7, 2}});
+  iq.receive(span(7, 1, 2));
+  EXPECT_EQ(acks.size(), 1u);
+}
+
+TEST_F(AckLedgerFixture, ResetStreamClampsTheResentAck) {
+  iq.receive(span(7, 1, 4));
+  while (!iq.empty()) iq.pop();
+  iq.flushAcks({{7, 4}});
+  // Restore rewinds the consumer to watermark 2: a duplicate must re-send 2,
+  // not the 4 that would trim the span the consumer still has to reprocess.
+  iq.resetStream(7, 2);
+  iq.receive(span(7, 1, 1));
+  ASSERT_EQ(acks.size(), 2u);
+  EXPECT_EQ(acks[1], std::make_pair(StreamId{7}, ElementSeq{2}));
+  // The clamped record is the flush baseline too: 3 now counts as progress.
+  iq.flushAcks({{7, 3}});
+  ASSERT_EQ(acks.size(), 3u);
+  EXPECT_EQ(acks[2].second, 3u);
 }
 
 TEST_F(QueueFixture, OutputQueueNackRewindsBackwardOnly) {
@@ -326,9 +399,9 @@ TEST_F(QueueFixture, AcksFanOutToAllUpstreamsOfStream) {
   iq.addUpstream(7, [&](StreamId s, ElementSeq q) { sent.emplace_back(s, q); });
   iq.addUpstream(7, [&](StreamId s, ElementSeq q) { sent.emplace_back(s, q); });
   iq.addUpstream(8, [&](StreamId s, ElementSeq q) { sent.emplace_back(s, q); });
-  iq.sendAcks({{7, 5}, {8, 2}});
+  iq.flushAcks({{7, 5}, {8, 2}});
   EXPECT_EQ(sent.size(), 3u);
-  iq.sendAcks({{7, 0}});  // Zero watermark: suppressed.
+  iq.flushAcks({{7, 0}});  // Zero watermark: suppressed.
   EXPECT_EQ(sent.size(), 3u);
 }
 

@@ -20,7 +20,7 @@ struct SubjobFixture : ::testing::Test {
       params.workPerElementUs = 100.0;
       params.outputStreams = {static_cast<StreamId>(100 + i)};
       auto& pe = subjob->addPe(std::make_unique<PeInstance>(
-          sim, *machine, net, std::move(params),
+          *machine, net, std::move(params),
           std::make_unique<SyntheticLogic>(1.0, 64)));
       pe.input().subscribe(static_cast<StreamId>(99 + i));
     }
@@ -71,7 +71,7 @@ TEST_F(SubjobFixture, PesAddedToSuspendedSubjobStartSuspended) {
   params.logicalId = 7;
   params.outputStreams = {200};
   auto& pe = subjob->addPe(std::make_unique<PeInstance>(
-      sim, *machine, net, std::move(params),
+      *machine, net, std::move(params),
       std::make_unique<SyntheticLogic>(1.0, 64)));
   EXPECT_TRUE(pe.suspended());
 }
@@ -130,7 +130,7 @@ TEST_F(SubjobFixture, AckTimerFlushesProcessedAcks) {
   subjob->pe(0).input().addUpstream(
       99, [&](StreamId, ElementSeq q) { acks.push_back(q); });
   subjob->setAckPolicy(AckPolicy::kOnProcess);
-  subjob->startAckTimer(50 * kMillisecond);
+  subjob->startAckTimer();
   feed(subjob->pe(0), 99, 1, 3);
   sim.runUntil(200 * kMillisecond);
   ASSERT_FALSE(acks.empty());
