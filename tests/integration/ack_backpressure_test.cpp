@@ -1,6 +1,6 @@
 // Ack-resend back-pressure: a duplicate data arrival means the sender is
 // behind on acks, so the receiver resends its last ack -- but rate-limited
-// (one resend per stream per ackFlushInterval), or a duplicate storm would
+// (one resend per stream per kAckFlushInterval), or a duplicate storm would
 // amplify into an ack storm. This stress test drives the duplicate rate far
 // beyond what the chaos sweeps use and asserts both sides of the contract:
 // exactly-once still holds, and ack traffic stays bounded by the rate limit
@@ -48,7 +48,7 @@ TEST(AckBackpressure, ExtremeDuplicateRatesDoNotAmplifyAckTraffic) {
 
   // ... yet ack traffic stayed inside the rate limit. Each consumer may send
   // at most one timer flush plus one duplicate-triggered resend per stream
-  // per ackFlushInterval (10ms): with 8 chain streams plus the sink and both
+  // per kAckFlushInterval (10ms): with 8 chain streams plus the sink and both
   // replica sets acking, ~20 sender-streams over the ~20s simulated give
   // 2 * 20 * 2000 = 80k as a hard ceiling; unthrottled resends (one per
   // duplicate arrival) would blow far past it.
