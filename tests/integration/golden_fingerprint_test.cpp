@@ -8,14 +8,19 @@
 // store, and a delta/tiered chaos seed with stale deltas, base misses and
 // stale confirms), and the data plane of a non-chain job: fan-out, fan-in,
 // two sink streams and a local wire inside the protected subjob, through
-// switchover and rollback, promotion, AS replacement and lossy links.
+// switchover and rollback, promotion, AS replacement and lossy links -- and
+// the detectors no workload runs: accrual under heartbeat jitter and a
+// spike, the predictive detector on ramped spikes, and the heartbeat and
+// benchmarking detectors of the Figs 12-13 detection study.
 //
-// Each test runs one short scripted scenario (at most 12 simulated seconds,
-// drain included) with tracing on, and pins two digests: stableHash of the
-// lossless result fingerprint (exp/sweep.hpp fingerprintResult, the string
-// ChaosOutcome::resultFingerprint holds) and stableHash of the JSONL trace.
-// Event order, incident ids and every counter feed one or the other, so any
-// behavior change -- intended or not -- flips a pin.
+// Each scenario test runs one short scripted scenario (at most 12 simulated
+// seconds, drain included) with tracing on, and pins two digests: stableHash
+// of the lossless result fingerprint (exp/sweep.hpp fingerprintResult, the
+// string ChaosOutcome::resultFingerprint holds) and stableHash of the JSONL
+// trace. Event order, incident ids and every counter feed one or the other,
+// so any behavior change -- intended or not -- flips a pin. The detection
+// study runs no coordinator and records no trace; its pin is stableHash of
+// both detectors' scores with every double in hexfloat.
 //
 // Re-pinning after an intentional behavior change: run the failing test, copy
 // the "actual" digests it prints into its expectPins() call, and record the
@@ -34,6 +39,8 @@
 
 #include "cluster/load_generator.hpp"
 #include "common/rng.hpp"
+#include "detect/predictive.hpp"
+#include "exp/detection_study.hpp"
 #include "exp/sweep.hpp"
 #include "ha/active_standby.hpp"
 #include "ha/hybrid.hpp"
@@ -49,14 +56,16 @@ namespace {
 /// Absolute simulated times of the scripted actions below.
 using Windows = std::vector<std::pair<SimTime, SimTime>>;
 
-/// Scripted run: build, start, replay CPU spikes on `spikeMachine` (if any),
-/// let `script` schedule crashes and churn, run `duration`, drain for
-/// `drainGrace`, collect, then let `inspect` read the finished scenario.
-/// Returns the same digests a ChaosOutcome carries.
+/// Scripted run: build, start, replay CPU spikes on `spikeMachine` (if any;
+/// each ramps up over `spikeRamp`, 0 = step), let `script` schedule crashes
+/// and churn, run `duration`, drain for `drainGrace`, collect, then let
+/// `inspect` read the finished scenario. Returns the same digests a
+/// ChaosOutcome carries.
 harness::ChaosOutcome runScripted(
     ScenarioParams p, SimDuration drainGrace,
     const std::function<void(Scenario&)>& script = nullptr,
     MachineId spikeMachine = kNoMachine, const Windows& spikes = {},
+    SimDuration spikeRamp = 0,
     const std::function<void(Scenario&)>& inspect = nullptr) {
   p.trace.enabled = true;
   Scenario s(std::move(p));
@@ -65,6 +74,7 @@ harness::ChaosOutcome runScripted(
   if (spikeMachine != kNoMachine) {
     SpikeSpec spec;
     spec.magnitude = 0.97;
+    spec.rampDuration = spikeRamp;
     gen = std::make_unique<LoadGenerator>(
         s.cluster().sim(), s.cluster().machine(spikeMachine), spec,
         s.cluster().forkRng(1234));
@@ -383,7 +393,7 @@ TEST(GoldenFingerprint, DeltaTieredChaosSeedWithStaleAndMissedDeltas) {
   p.faultSeedSalt = p.seed;
   std::uint64_t staleConfirms = 0;
   const harness::ChaosOutcome out =
-      runScripted(p, 2 * kSecond, nullptr, kNoMachine, {}, [&](Scenario& s) {
+      runScripted(p, 2 * kSecond, nullptr, kNoMachine, {}, 0, [&](Scenario& s) {
         for (HaCoordinator* c : s.coordinators()) {
           if (CheckpointManager* cm = c->checkpointManager()) {
             staleConfirms += cm->stats().staleConfirms;
@@ -397,6 +407,78 @@ TEST(GoldenFingerprint, DeltaTieredChaosSeedWithStaleAndMissedDeltas) {
   EXPECT_GT(staleConfirms, 0u);
   EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
   expectPins(out, 0x73b23e57af9e8c89ULL, 0x7eb11dfe00df5bb0ULL);
+}
+
+// -- Detectors no workload runs ----------------------------------------------
+
+TEST(GoldenFingerprint, AccrualHybridUnderJitterAndSpike) {
+  ScenarioParams p = hybridParams(61);
+  p.duration = 9 * kSecond;
+  p.accrual.enabled = true;
+  p.accrual.failPhi = 2.0;
+  SlowdownSpec jitter;
+  jitter.kind = SlowdownKind::kHeartbeatJitter;
+  jitter.machine = 2;
+  jitter.delayProb = 0.3;
+  jitter.maxExtraDelay = 150 * kMillisecond;
+  jitter.beginAt = 1 * kSecond;
+  jitter.endAt = 8 * kSecond;
+  p.faults.slowdowns.push_back(jitter);
+  const harness::ChaosOutcome out =
+      runScripted(p, 3 * kSecond, nullptr, 2, {{4 * kSecond, 6 * kSecond}});
+  EXPECT_EQ(out.result.switchovers, 1u);
+  EXPECT_EQ(out.result.rollbacks, 1u);
+  EXPECT_EQ(out.result.gray.suspicionCrossings, 1u);
+  EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
+  expectPins(out, 0x01df59239783907fULL, 0xba98ac4644cab84cULL);
+}
+
+TEST(GoldenFingerprint, PredictiveHybridOnRampedSpikes) {
+  ScenarioParams p = hybridParams(44);
+  p.duration = 9 * kSecond;
+  p.detectorFactory = [](Simulator& sim, Network& net, Machine& monitor,
+                         Machine& target, FailureDetector::Callbacks cb) {
+    PredictiveDetector::Params params;
+    return std::make_unique<PredictiveDetector>(sim, net, monitor, target,
+                                                params, std::move(cb));
+  };
+  const harness::ChaosOutcome out = runScripted(
+      p, 3 * kSecond, nullptr, 2,
+      {{2 * kSecond, 3500 * kMillisecond}, {5 * kSecond, 6500 * kMillisecond}},
+      600 * kMillisecond);
+  EXPECT_EQ(out.result.switchovers, 3u);
+  EXPECT_EQ(out.result.rollbacks, 3u);
+  EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
+  expectPins(out, 0x69db71801a0403a7ULL, 0xdc5332368bfcd053ULL);
+}
+
+/// Every field of a DetectionScore, doubles in hexfloat (lossless).
+std::string renderScore(const DetectionScore& score) {
+  std::ostringstream out;
+  out << std::hexfloat << "spikes=" << score.spikesTotal
+      << " detected=" << score.spikesDetected
+      << " declarations=" << score.declarations
+      << " falseAlarms=" << score.falseAlarms
+      << " detectionRatio=" << score.detectionRatio
+      << " falseAlarmRatio=" << score.falseAlarmRatio
+      << " delayMs=" << score.avgDetectionDelayMs;
+  return out.str();
+}
+
+TEST(GoldenFingerprint, DetectionStudyHeartbeatAndBenchmark) {
+  DetectionStudyParams params;
+  params.spikeCount = 30;
+  params.spikeLoad = 0.9;
+  params.heartbeatLossProb = 0.02;
+  const DetectionStudyResult r = runDetectionStudy(params);
+  EXPECT_EQ(r.heartbeat.declarations, 29u);
+  EXPECT_EQ(r.heartbeat.falseAlarms, 0u);
+  EXPECT_EQ(r.benchmark.declarations, 228u);
+  const std::string rendered = "heartbeat " + renderScore(r.heartbeat) +
+                               "\nbenchmark " + renderScore(r.benchmark);
+  const std::uint64_t actual = stableHash(rendered);
+  EXPECT_EQ(actual, 0x01021509f0a61094ULL)
+      << "actual digest: 0x" << std::hex << actual << "\n" << rendered;
 }
 
 // -- Data plane of a non-chain job --------------------------------------------
