@@ -32,9 +32,8 @@ Outcome measure(bool predictive, SimDuration ramp,
     if (predictive) {
       p.detectorFactory = [](Simulator& sim, Network& net, Machine& monitor,
                              Machine& target, FailureDetector::Callbacks cb) {
-        PredictiveDetector::Params params;
         return std::make_unique<PredictiveDetector>(sim, net, monitor, target,
-                                                    params, std::move(cb));
+                                                    std::move(cb));
       };
     }
     Scenario s(p);

@@ -2,13 +2,20 @@
 
 namespace streamha {
 
+namespace {
+constexpr SimDuration kPollInterval = 5 * kMillisecond;  ///< Load granularity.
+constexpr SimDuration kLoadWindow = 100 * kMillisecond;
+/// One benchmark run must finish and settle before the next.
+constexpr SimDuration kCooldown = 500 * kMillisecond;
+}  // namespace
+
 BenchmarkDetector::BenchmarkDetector(Simulator& sim, Machine& target,
                                      Params params, Callbacks callbacks)
     : sim_(sim),
       target_(target),
       params_(params),
       callbacks_(std::move(callbacks)),
-      timer_(sim, params.probeInterval, [this] { poll(); }) {}
+      timer_(sim, kPollInterval, [this] { poll(); }) {}
 
 void BenchmarkDetector::start() {
   window_t0_ = sim_.now();
@@ -33,8 +40,8 @@ double BenchmarkDetector::windowedLoad() {
     load = (integral - window_integral0_) /
            static_cast<double>(now - window_t0_);
   }
-  // Slide the window forward once it exceeds the configured width.
-  if (now - window_t0_ >= params_.loadWindow) {
+  // Slide the window forward once it exceeds its width.
+  if (now - window_t0_ >= kLoadWindow) {
     window_t0_ = now;
     window_integral0_ = integral;
   }
@@ -45,7 +52,7 @@ void BenchmarkDetector::poll() {
   if (!target_.isUp()) return;
   const double load = windowedLoad();
   if (probe_in_flight_) return;
-  if (last_probe_done_ >= 0 && sim_.now() - last_probe_done_ < params_.cooldown) {
+  if (last_probe_done_ >= 0 && sim_.now() - last_probe_done_ < kCooldown) {
     return;
   }
   if (load < params_.loadThreshold) return;

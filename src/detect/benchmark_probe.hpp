@@ -8,9 +8,12 @@
 // and compares the result against the benchmark. If the result exceeds the
 // benchmark by a threshold P_th, a detection is declared."
 //
-// The probe runs through the machine's *data* server, so queueing behind
-// bursty application traffic inflates the measurement -- which is exactly why
-// the paper found this method prone to false alarms.
+// The load monitor reads a 100 ms window every 5 ms, and one benchmark run
+// must finish and cool down for 500 ms before the next. The probe runs
+// through the machine's *data* server, so queueing behind bursty application
+// traffic inflates the measurement -- which is exactly why the paper found
+// this method prone to false alarms. Unlike the network detectors it makes
+// no round trip: it runs on the target itself.
 #pragma once
 
 #include <cstdint>
@@ -25,15 +28,10 @@ namespace streamha {
 class BenchmarkDetector {
  public:
   struct Params {
-    SimDuration probeInterval = 5 * kMillisecond;  ///< Load monitor granularity.
-    SimDuration loadWindow = 100 * kMillisecond;   ///< Window for the load read.
-    double loadThreshold = 0.5;                    ///< L_th.
-    double ratioThreshold = 1.3;                   ///< P_th.
+    double loadThreshold = 0.5;   ///< L_th.
+    double ratioThreshold = 1.3;  ///< P_th.
     int standardSetElements = 20;
     double workPerElementUs = 300.0;
-    /// Cooldown between benchmark runs (one run must finish and settle
-    /// before the next).
-    SimDuration cooldown = 500 * kMillisecond;
   };
 
   struct Callbacks {

@@ -1,63 +1,23 @@
 #include "detect/detector_stats.hpp"
 
-#include <algorithm>
-
 namespace streamha {
 
 namespace {
 
-struct Window {
-  SimTime start = 0;
-  SimTime end = 0;
-  MachineId machine = kNoMachine;
-  bool detected = false;
-};
-
-void finalize(DetectionScore& out, const std::vector<Window>& windows,
-              double delayTotalMs, std::size_t delayCount) {
-  out.spikesTotal = windows.size();
-  for (const Window& w : windows) {
-    if (w.detected) ++out.spikesDetected;
-  }
-  out.detectionRatio =
-      out.spikesTotal == 0
-          ? 0.0
-          : static_cast<double>(out.spikesDetected) /
-                static_cast<double>(out.spikesTotal);
-  out.falseAlarmRatio =
-      out.declarations == 0
-          ? 0.0
-          : static_cast<double>(out.falseAlarms) /
-                static_cast<double>(out.declarations);
-  out.avgDetectionDelayMs =
-      delayCount == 0 ? 0.0
-                      : delayTotalMs / static_cast<double>(delayCount);
+double ratio(std::size_t part, std::size_t whole) {
+  return whole == 0 ? 0.0
+                    : static_cast<double>(part) / static_cast<double>(whole);
 }
 
 }  // namespace
 
-void DetectorScorer::addSuspicionAccounting(DetectionScore& out, SimTime from,
-                                            SimTime to) const {
-  double confidenceTotal = 0.0;
-  std::size_t confidenceCount = 0;
-  for (const Declaration& d : declarations_) {
-    if (d.at < from || d.at >= to) continue;
-    confidenceTotal += d.confidence;
-    ++confidenceCount;
-  }
-  out.meanConfidence =
-      confidenceCount == 0
-          ? 0.0
-          : confidenceTotal / static_cast<double>(confidenceCount);
-  for (const SuspicionSample& s : suspicion_) {
-    if (s.at < from || s.at >= to) continue;
-    ++out.suspicionSamples;
-    out.peakSuspicion = std::max(out.peakSuspicion, s.phi);
-  }
-}
-
 DetectionScore DetectorScorer::score(const SpikeWindows& spikes, SimTime from,
                                      SimTime to) const {
+  struct Window {
+    SimTime start = 0;
+    SimTime end = 0;
+    bool detected = false;
+  };
   DetectionScore out;
   std::vector<Window> windows;
   for (const auto& [start, end] : spikes) {
@@ -65,67 +25,30 @@ DetectionScore DetectorScorer::score(const SpikeWindows& spikes, SimTime from,
   }
 
   double delayTotalMs = 0.0;
-  std::size_t delayCount = 0;
-  for (const Declaration& d : declarations_) {
-    if (d.at < from || d.at >= to) continue;
+  for (const SimTime at : declarations_) {
+    if (at < from || at >= to) continue;
     ++out.declarations;
     bool matched = false;
     for (Window& w : windows) {
-      if (d.at >= w.start && d.at < w.end + grace_) {
+      if (at >= w.start && at < w.end + grace_) {
         matched = true;
         if (!w.detected) {
           w.detected = true;
-          delayTotalMs += toMillis(d.at - w.start);
-          ++delayCount;
+          delayTotalMs += toMillis(at - w.start);
+          ++out.spikesDetected;
         }
         break;
       }
     }
     if (!matched) ++out.falseAlarms;
   }
-  finalize(out, windows, delayTotalMs, delayCount);
-  addSuspicionAccounting(out, from, to);
-  return out;
-}
-
-DetectionScore DetectorScorer::score(
-    const std::map<MachineId, SpikeWindows>& spikesByMachine, SimTime from,
-    SimTime to) const {
-  DetectionScore out;
-  std::vector<Window> windows;
-  for (const auto& [machine, spikes] : spikesByMachine) {
-    for (const auto& [start, end] : spikes) {
-      if (start >= from && start < to) {
-        windows.push_back({start, end, machine});
-      }
-    }
-  }
-
-  double delayTotalMs = 0.0;
-  std::size_t delayCount = 0;
-  for (const Declaration& d : declarations_) {
-    if (d.at < from || d.at >= to) continue;
-    ++out.declarations;
-    bool matched = false;
-    for (Window& w : windows) {
-      // The attribution fix: a declaration against machine M can only be
-      // justified by M's own incidents. Unattributed declarations keep the
-      // legacy any-window matching.
-      if (d.machine != kNoMachine && d.machine != w.machine) continue;
-      if (d.at >= w.start && d.at < w.end + grace_) {
-        matched = true;
-        if (!w.detected) {
-          w.detected = true;
-          delayTotalMs += toMillis(d.at - w.start);
-          ++delayCount;
-        }
-        break;
-      }
-    }
-    if (!matched) ++out.falseAlarms;
-  }
-  finalize(out, windows, delayTotalMs, delayCount);
-  addSuspicionAccounting(out, from, to);
+  out.spikesTotal = windows.size();
+  out.detectionRatio = ratio(out.spikesDetected, out.spikesTotal);
+  out.falseAlarmRatio = ratio(out.falseAlarms, out.declarations);
+  out.avgDetectionDelayMs =
+      out.spikesDetected == 0
+          ? 0.0
+          : delayTotalMs / static_cast<double>(out.spikesDetected);
   return out;
 }
 

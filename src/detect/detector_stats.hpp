@@ -5,20 +5,11 @@
 // short grace period after it ends, covering pipeline delays) or a false
 // alarm, and computes the three metrics the paper's Figures 12/13 report:
 // background-load detection ratio, false alarm ratio, and average detection
-// delay.
-//
-// Declarations carry an optional target-machine attribution. With it, the
-// per-machine score() overload matches a declaration against *that machine's*
-// spike windows only -- a declaration against a healthy machine during some
-// other machine's incident is a false alarm, not a lucky hit. (The legacy
-// global overload, kept for single-target studies, would wrongly credit it.)
-// Accrual detectors can additionally feed their continuous suspicion level
-// through onSuspicion(); the score then reports the suspicion trajectory's
-// peak and the mean confidence (phi at declaration time) of the verdicts.
+// delay. Every window and declaration belongs to the one machine under
+// study.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -34,74 +25,29 @@ struct DetectionScore {
   double detectionRatio = 0.0;   ///< spikesDetected / spikesTotal.
   double falseAlarmRatio = 0.0;  ///< falseAlarms / declarations.
   double avgDetectionDelayMs = 0.0;  ///< spike start -> first declaration.
-  // -- Suspicion/confidence accounting (accrual detectors; 0 otherwise) ------
-  double peakSuspicion = 0.0;       ///< Max recorded suspicion sample.
-  double meanConfidence = 0.0;      ///< Mean suspicion at declaration time.
-  std::size_t suspicionSamples = 0; ///< Trajectory samples recorded.
 };
 
-/// Ground-truth spike windows per machine.
+/// Ground-truth spike windows of the machine under study.
 using SpikeWindows = std::vector<std::pair<SimTime, SimTime>>;
 
 class DetectorScorer {
  public:
-  struct Declaration {
-    SimTime at = 0;
-    MachineId machine = kNoMachine;  ///< kNoMachine = unattributed (legacy).
-    double confidence = 0.0;         ///< Suspicion level at declaration.
-  };
-
-  struct SuspicionSample {
-    SimTime at = 0;
-    MachineId machine = kNoMachine;
-    double phi = 0.0;
-  };
-
   explicit DetectorScorer(SimDuration grace = 200 * kMillisecond)
       : grace_(grace) {}
 
-  void onDeclared(SimTime when) {
-    declarations_.push_back(Declaration{when, kNoMachine, 0.0});
-  }
-  void onDeclared(SimTime when, MachineId machine, double confidence = 0.0) {
-    declarations_.push_back(Declaration{when, machine, confidence});
-  }
-
-  /// Record one suspicion-trajectory sample (accrual detectors).
-  void onSuspicion(SimTime when, MachineId machine, double phi) {
-    suspicion_.push_back(SuspicionSample{when, machine, phi});
-  }
+  void onDeclared(SimTime when) { declarations_.push_back(when); }
 
   /// Score against ground-truth spike windows, considering only spikes that
   /// start inside [from, to) (so warm-up and tail spikes can be excluded).
-  /// Global matching: any declaration may match any machine's window. Only
-  /// correct when a single machine is under study.
   DetectionScore score(const SpikeWindows& spikes, SimTime from = 0,
                        SimTime to = kTimeNever) const;
 
-  /// Per-machine scoring: a declaration attributed to machine M is matched
-  /// against M's windows only, so overlapping incidents on different machines
-  /// are counted independently. Unattributed declarations fall back to
-  /// global matching across all machines.
-  DetectionScore score(const std::map<MachineId, SpikeWindows>& spikesByMachine,
-                       SimTime from = 0, SimTime to = kTimeNever) const;
-
-  const std::vector<Declaration>& declarations() const { return declarations_; }
-  const std::vector<SuspicionSample>& suspicionTrajectory() const {
-    return suspicion_;
-  }
-  void reset() {
-    declarations_.clear();
-    suspicion_.clear();
-  }
+  const std::vector<SimTime>& declarations() const { return declarations_; }
+  void reset() { declarations_.clear(); }
 
  private:
-  void addSuspicionAccounting(DetectionScore& out, SimTime from,
-                              SimTime to) const;
-
   SimDuration grace_;
-  std::vector<Declaration> declarations_;
-  std::vector<SuspicionSample> suspicion_;
+  std::vector<SimTime> declarations_;
 };
 
 }  // namespace streamha

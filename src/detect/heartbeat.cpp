@@ -1,54 +1,15 @@
 #include "detect/heartbeat.hpp"
 
-#include "trace/recorder.hpp"
-
 namespace streamha {
-
-namespace {
-
-void recordDetectorEvent(TraceRecorder* trace, TraceEventType type, SimTime at,
-                         MachineId target, MachineId monitor,
-                         std::uint64_t value) {
-  if (trace == nullptr) return;
-  TraceEvent ev;
-  ev.type = type;
-  ev.at = at;
-  ev.machine = target;
-  ev.peer = monitor;
-  ev.value = value;
-  trace->record(ev);
-}
-
-}  // namespace
 
 HeartbeatDetector::HeartbeatDetector(Simulator& sim, Network& net,
                                      Machine& monitor, Machine& target,
                                      Params params, Callbacks callbacks)
-    : sim_(sim),
-      net_(net),
-      monitor_(monitor),
-      target_(&target),
-      params_(params),
-      callbacks_(std::move(callbacks)),
-      timer_(sim, params.interval, [this] { tick(); }) {}
-
-void HeartbeatDetector::start() { timer_.start(); }
-
-void HeartbeatDetector::stop() { timer_.stop(); }
-
-void HeartbeatDetector::retarget(Machine& newTarget) {
-  target_ = &newTarget;
-  ++epoch_;
-  outstanding_.clear();
-  replied_in_time_.clear();
-  consecutive_misses_ = 0;
-  consecutive_hits_ = 0;
-  failed_ = false;
-}
+    : FailureDetector(sim, net, monitor, target, params.interval,
+                      std::move(callbacks)),
+      params_(params) {}
 
 void HeartbeatDetector::tick() {
-  // A crashed monitor neither pings nor declares anything.
-  if (!monitor_.isUp()) return;
   // Evaluate the previous ping's deadline before sending the next one.
   if (!outstanding_.empty()) {
     const auto it = outstanding_.begin();
@@ -59,60 +20,30 @@ void HeartbeatDetector::tick() {
     if (hit) {
       consecutive_misses_ = 0;
       ++consecutive_hits_;
-      if (failed_ && consecutive_hits_ >= params_.recoverThreshold) {
-        failed_ = false;
-        ++recoveries_declared_;
-        recordDetectorEvent(net_.trace(), TraceEventType::kFailureCleared,
-                            sim_.now(), target_->id(), monitor_.id(),
-                            consecutive_hits_);
-        if (callbacks_.onRecovery) callbacks_.onRecovery(sim_.now());
+      if (failed() && consecutive_hits_ >= params_.recoverThreshold) {
+        declare(false, consecutive_hits_);
       }
     } else {
       consecutive_hits_ = 0;
       ++consecutive_misses_;
-      recordDetectorEvent(net_.trace(), TraceEventType::kHeartbeatMiss,
-                          sim_.now(), target_->id(), monitor_.id(),
-                          consecutive_misses_);
-      if (consecutive_misses_ == 1 && !failed_) {
-        recordDetectorEvent(net_.trace(), TraceEventType::kFailureSuspected,
-                            sim_.now(), target_->id(), monitor_.id(), 1);
+      record(TraceEventType::kHeartbeatMiss, consecutive_misses_);
+      if (consecutive_misses_ == 1 && !failed()) {
+        record(TraceEventType::kFailureSuspected, 1);
       }
-      if (!failed_ && consecutive_misses_ >= params_.missThreshold) {
-        failed_ = true;
-        ++failures_declared_;
-        recordDetectorEvent(net_.trace(), TraceEventType::kFailureConfirmed,
-                            sim_.now(), target_->id(), monitor_.id(),
-                            consecutive_misses_);
-        if (callbacks_.onFailure) callbacks_.onFailure(sim_.now());
+      if (!failed() && consecutive_misses_ >= params_.missThreshold) {
+        declare(true, consecutive_misses_);
       }
     }
   }
 
   // Send the next ping.
   const std::uint64_t seq = next_seq_++;
-  const std::uint64_t epoch = epoch_;
   outstanding_[seq] = sim_.now();
-  ++pings_sent_;
-  Machine* target = target_;
-  const MachineId monitorId = monitor_.id();
-  const MachineId targetId = target_->id();
-  net_.send(monitorId, targetId, MsgKind::kHeartbeatPing, params_.pingBytes, 0,
-            [this, seq, epoch, target, monitorId, targetId] {
-              // Runs on the target: the reply is control work subject to the
-              // machine's scheduling-latency model.
-              target->submitControl(
-                  params_.replyWorkUs, [this, seq, epoch, monitorId, targetId] {
-                    net_.send(targetId, monitorId, MsgKind::kHeartbeatReply,
-                              params_.replyBytes, 0, [this, seq, epoch] {
-                                if (epoch != epoch_) return;
-                                onReply(seq);
-                              });
-                  });
-            });
+  probe(MsgKind::kHeartbeatPing, MsgKind::kHeartbeatReply,
+        [this, seq](const ProbeReading&) { onReply(seq); });
 }
 
 void HeartbeatDetector::onReply(std::uint64_t seq) {
-  ++replies_received_;
   const auto it = outstanding_.find(seq);
   if (it == outstanding_.end()) return;  // Deadline already passed: late.
   if (sim_.now() - it->second <= params_.interval) {

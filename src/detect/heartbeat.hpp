@@ -8,14 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 
-#include "cluster/machine.hpp"
-#include "common/types.hpp"
 #include "detect/detector.hpp"
-#include "net/network.hpp"
-#include "sim/timer.hpp"
 
 namespace streamha {
 
@@ -25,58 +20,24 @@ class HeartbeatDetector : public FailureDetector {
     SimDuration interval = 100 * kMillisecond;
     int missThreshold = 3;     ///< Consecutive misses to declare failure.
     int recoverThreshold = 2;  ///< Consecutive timely replies to declare recovery.
-    double replyWorkUs = 50.0; ///< CPU work for one reply on the target.
-    std::size_t pingBytes = 64;
-    std::size_t replyBytes = 64;
   };
-
-  using Callbacks = FailureDetector::Callbacks;
 
   HeartbeatDetector(Simulator& sim, Network& net, Machine& monitor,
                     Machine& target, Params params, Callbacks callbacks);
-  HeartbeatDetector(const HeartbeatDetector&) = delete;
-  HeartbeatDetector& operator=(const HeartbeatDetector&) = delete;
 
-  void start() override;
-  void stop() override;
-
-  /// Point the detector at a different target machine (PS migration /
-  /// Hybrid promotion re-targets monitoring). Resets the miss counters.
-  void retarget(Machine& newTarget) override;
-  MachineId targetId() const override { return target_->id(); }
-
-  bool failed() const override { return failed_; }
   int consecutiveMisses() const { return consecutive_misses_; }
-  std::uint64_t pingsSent() const { return pings_sent_; }
-  std::uint64_t repliesReceived() const { return replies_received_; }
-  std::uint64_t failuresDeclared() const { return failures_declared_; }
-  std::uint64_t recoveriesDeclared() const { return recoveries_declared_; }
-
   const Params& params() const { return params_; }
 
  private:
-  void tick();
+  void tick() override;
   void onReply(std::uint64_t seq);
 
-  Simulator& sim_;
-  Network& net_;
-  Machine& monitor_;
-  Machine* target_;
   Params params_;
-  Callbacks callbacks_;
-  PeriodicTimer timer_;
-
   std::uint64_t next_seq_ = 1;
-  std::uint64_t epoch_ = 0;  ///< Bumped on retarget; stale replies dropped.
   std::map<std::uint64_t, SimTime> outstanding_;  ///< seq -> sent time.
   std::map<std::uint64_t, bool> replied_in_time_;
   int consecutive_misses_ = 0;
   int consecutive_hits_ = 0;
-  bool failed_ = false;
-  std::uint64_t pings_sent_ = 0;
-  std::uint64_t replies_received_ = 0;
-  std::uint64_t failures_declared_ = 0;
-  std::uint64_t recoveries_declared_ = 0;
 };
 
 }  // namespace streamha

@@ -2,52 +2,25 @@
 
 #include <algorithm>
 
-#include "trace/recorder.hpp"
-
 namespace streamha {
 
 namespace {
-
-void recordDetectorEvent(TraceRecorder* trace, TraceEventType type, SimTime at,
-                         MachineId target, MachineId monitor,
-                         std::uint64_t value) {
-  if (trace == nullptr) return;
-  TraceEvent ev;
-  ev.type = type;
-  ev.at = at;
-  ev.machine = target;
-  ev.peer = monitor;
-  ev.value = value;
-  trace->record(ev);
-}
-
+constexpr SimDuration kPollInterval = 100 * kMillisecond;
+constexpr double kLoadThreshold = 0.90;  ///< Declared-unhealthy load level.
+constexpr SimDuration kPredictionHorizon = 300 * kMillisecond;
+constexpr std::size_t kTrendSamples = 4;  ///< Window for the linear fit.
+/// Consecutive unhealthy reports to declare: one saturated window on a
+/// single-server machine is routine queueing, not a failure.
+constexpr int kDeclareSamples = 2;
+constexpr int kRecoverSamples = 2;  ///< Healthy reports to declare recovery.
+constexpr int kMissThreshold = 2;   ///< Unanswered polls = stall fallback.
 }  // namespace
 
 PredictiveDetector::PredictiveDetector(Simulator& sim, Network& net,
                                        Machine& monitor, Machine& target,
-                                       Params params, Callbacks callbacks)
-    : sim_(sim),
-      net_(net),
-      monitor_(monitor),
-      target_(&target),
-      params_(params),
-      callbacks_(std::move(callbacks)),
-      timer_(sim, params.pollInterval, [this] { tick(); }) {}
-
-void PredictiveDetector::start() { timer_.start(); }
-
-void PredictiveDetector::stop() { timer_.stop(); }
-
-void PredictiveDetector::retarget(Machine& newTarget) {
-  target_ = &newTarget;
-  ++epoch_;
-  samples_.clear();
-  has_prev_integral_ = false;
-  outstanding_answered_ = true;
-  consecutive_misses_ = 0;
-  consecutive_healthy_ = 0;
-  failed_ = false;
-}
+                                       Callbacks callbacks)
+    : FailureDetector(sim, net, monitor, target, kPollInterval,
+                      std::move(callbacks)) {}
 
 double PredictiveDetector::predictedLoadAtHorizon() const {
   if (samples_.size() < 2) {
@@ -71,29 +44,23 @@ double PredictiveDetector::predictedLoadAtHorizon() const {
   const double slope = (dn * sxy - sx * sy) / denom;
   const double intercept = (sy - slope * sx) / dn;
   const double x_future = static_cast<double>(samples_.back().first) - t0 +
-                          static_cast<double>(params_.predictionHorizon);
+                          static_cast<double>(kPredictionHorizon);
   return std::clamp(intercept + slope * x_future, 0.0, 1.5);
 }
 
-void PredictiveDetector::declare(bool predicted) {
-  if (failed_) return;
-  failed_ = true;
+void PredictiveDetector::declareFailure(bool predicted) {
+  if (failed()) return;
   consecutive_healthy_ = 0;
   if (predicted) ++predicted_;
-  recordDetectorEvent(net_.trace(), TraceEventType::kFailureConfirmed,
-                      sim_.now(), target_->id(), monitor_.id(),
-                      predicted ? 1 : 0);
-  if (callbacks_.onFailure) callbacks_.onFailure(sim_.now());
+  declare(true, predicted ? 1 : 0);
 }
 
 void PredictiveDetector::tick() {
-  if (!monitor_.isUp()) return;
-
   // Evaluate the previous poll: silence counts toward the stall fallback.
   if (!outstanding_answered_) {
     ++consecutive_misses_;
     consecutive_healthy_ = 0;
-    if (consecutive_misses_ >= params_.missThreshold) declare(false);
+    if (consecutive_misses_ >= kMissThreshold) declareFailure(false);
   }
 
   // Send the next load query; the target reads its cumulative load integral
@@ -102,90 +69,54 @@ void PredictiveDetector::tick() {
   // consecutive integral readings into windowed utilization -- instantaneous
   // samples of a single-server machine are useless (they read 0 or 1).
   const std::uint64_t seq = next_seq_++;
-  const std::uint64_t epoch = epoch_;
   outstanding_seq_ = seq;
   outstanding_answered_ = false;
-  ++polls_sent_;
-  Machine* target = target_;
-  const MachineId monitorId = monitor_.id();
-  const MachineId targetId = target_->id();
-  net_.send(monitorId, targetId, MsgKind::kControl, params_.messageBytes, 0,
-            [this, seq, epoch, target, monitorId, targetId] {
-              const double integral = target->loadIntegral();
-              const SimTime sampledAt = sim_.now();
-              target->submitControl(
-                  params_.reportWorkUs,
-                  [this, seq, epoch, integral, sampledAt, monitorId,
-                   targetId] {
-                    net_.send(targetId, monitorId, MsgKind::kControl,
-                              params_.messageBytes, 0,
-                              [this, seq, epoch, integral, sampledAt] {
-                                if (epoch != epoch_) return;
-                                onIntegralReport(seq, integral, sampledAt);
-                              });
-                  });
-            });
+  probe(MsgKind::kControl, MsgKind::kControl,
+        [this, seq](const ProbeReading& reading) { onReply(seq, reading); });
 }
 
-void PredictiveDetector::onIntegralReport(std::uint64_t seq, double integral,
-                                          SimTime sampledAt) {
-  if (!has_prev_integral_) {
-    has_prev_integral_ = true;
-    prev_integral_ = integral;
-    prev_sampled_at_ = sampledAt;
-    if (seq == outstanding_seq_) {
-      outstanding_answered_ = true;
-      consecutive_misses_ = 0;
-    }
-    ++reports_received_;
-    return;
-  }
-  const double dt = static_cast<double>(sampledAt - prev_sampled_at_);
-  const double load =
-      dt <= 0 ? 0.0 : std::clamp((integral - prev_integral_) / dt, 0.0, 1.0);
-  prev_integral_ = integral;
-  prev_sampled_at_ = sampledAt;
-  onReport(seq, load, sampledAt);
-}
-
-void PredictiveDetector::onReport(std::uint64_t seq, double load,
-                                  SimTime sampledAt) {
-  ++reports_received_;
+void PredictiveDetector::onReply(std::uint64_t seq,
+                                 const ProbeReading& reading) {
   if (seq == outstanding_seq_) {
     outstanding_answered_ = true;
     consecutive_misses_ = 0;
   }
-  samples_.emplace_back(sampledAt, load);
-  while (samples_.size() > static_cast<std::size_t>(params_.trendSamples)) {
-    samples_.pop_front();
+  if (!has_prev_integral_) {
+    has_prev_integral_ = true;
+    prev_integral_ = reading.loadIntegral;
+    prev_sampled_at_ = reading.at;
+    return;
   }
+  const double dt = static_cast<double>(reading.at - prev_sampled_at_);
+  const double load =
+      dt <= 0 ? 0.0
+              : std::clamp((reading.loadIntegral - prev_integral_) / dt, 0.0,
+                           1.0);
+  prev_integral_ = reading.loadIntegral;
+  prev_sampled_at_ = reading.at;
+  onSample(load, reading.at);
+}
 
-  const bool unhealthy_now = load >= params_.loadThreshold;
-  const bool unhealthy_soon =
-      predictedLoadAtHorizon() >= params_.loadThreshold;
+void PredictiveDetector::onSample(double load, SimTime sampledAt) {
+  samples_.emplace_back(sampledAt, load);
+  while (samples_.size() > kTrendSamples) samples_.pop_front();
+
+  const bool unhealthy_now = load >= kLoadThreshold;
+  const bool unhealthy_soon = predictedLoadAtHorizon() >= kLoadThreshold;
   if (unhealthy_now || unhealthy_soon) {
     consecutive_healthy_ = 0;
     ++consecutive_unhealthy_;
-    if (consecutive_unhealthy_ == 1 && !failed_) {
-      recordDetectorEvent(net_.trace(), TraceEventType::kFailureSuspected,
-                          sim_.now(), target_->id(), monitor_.id(),
-                          unhealthy_now ? 0 : 1);
+    if (consecutive_unhealthy_ == 1 && !failed()) {
+      record(TraceEventType::kFailureSuspected, unhealthy_now ? 0 : 1);
     }
-    last_unhealthy_was_prediction_ = !unhealthy_now;
-    // Debounce: one saturated window on a single-server machine is routine
-    // queueing, not a failure.
-    if (consecutive_unhealthy_ >= params_.declareSamples) {
-      declare(last_unhealthy_was_prediction_);
+    if (consecutive_unhealthy_ >= kDeclareSamples) {
+      declareFailure(!unhealthy_now);
     }
   } else {
     consecutive_unhealthy_ = 0;
     ++consecutive_healthy_;
-    if (failed_ && consecutive_healthy_ >= params_.recoverSamples) {
-      failed_ = false;
-      recordDetectorEvent(net_.trace(), TraceEventType::kFailureCleared,
-                          sim_.now(), target_->id(), monitor_.id(),
-                          consecutive_healthy_);
-      if (callbacks_.onRecovery) callbacks_.onRecovery(sim_.now());
+    if (failed() && consecutive_healthy_ >= kRecoverSamples) {
+      declare(false, consecutive_healthy_);
     }
   }
 }

@@ -1,87 +1,51 @@
 // Predictive failure detection (after Gu et al., cited by the paper).
 //
-// The monitor polls the target's CPU load via small control-path
-// load-report round-trips and fits a linear trend over the recent samples.
-// A failure is declared when EITHER
-//   * the observed load already exceeds `loadThreshold`, OR
-//   * the trend predicts it will exceed the threshold within
-//     `predictionHorizon` (this is what lets the Hybrid switch over *before*
-//     a ramping spike actually stalls the primary), OR
-//   * load reports stop coming back entirely (stall/crash fallback).
-// Recovery is declared after `recoverSamples` consecutive healthy reports.
+// Every 100 ms the monitor polls the target's CPU load via a small
+// control-path load-report round trip and fits a linear trend over the last
+// four samples. A failure is declared when EITHER
+//   * the observed load already reaches 0.9, OR
+//   * the trend predicts it will reach 0.9 within 300 ms (this is what lets
+//     the Hybrid switch over *before* a ramping spike actually stalls the
+//     primary)
+// on two consecutive reports, OR when two consecutive polls go unanswered
+// (stall/crash fallback). Recovery is declared after two consecutive
+// healthy reports.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <utility>
 
 #include "detect/detector.hpp"
-#include "sim/timer.hpp"
 
 namespace streamha {
 
 class PredictiveDetector : public FailureDetector {
  public:
-  struct Params {
-    SimDuration pollInterval = 100 * kMillisecond;
-    double loadThreshold = 0.90;        ///< Declared-unhealthy load level.
-    SimDuration predictionHorizon = 300 * kMillisecond;
-    int trendSamples = 4;               ///< Window for the linear fit.
-    int declareSamples = 2;             ///< Consecutive unhealthy evaluations
-                                        ///< to declare (debounces bursts).
-    int recoverSamples = 2;             ///< Healthy reports to declare recovery.
-    int missThreshold = 2;              ///< Unanswered polls = stall fallback.
-    double reportWorkUs = 50.0;         ///< CPU cost of producing a report.
-    std::size_t messageBytes = 64;
-  };
-
-  using Callbacks = FailureDetector::Callbacks;
-
   PredictiveDetector(Simulator& sim, Network& net, Machine& monitor,
-                     Machine& target, Params params, Callbacks callbacks);
-  PredictiveDetector(const PredictiveDetector&) = delete;
-  PredictiveDetector& operator=(const PredictiveDetector&) = delete;
+                     Machine& target, Callbacks callbacks);
 
-  void start() override;
-  void stop() override;
-  void retarget(Machine& newTarget) override;
-  bool failed() const override { return failed_; }
-  MachineId targetId() const override { return target_->id(); }
-
-  std::uint64_t pollsSent() const { return polls_sent_; }
-  std::uint64_t reportsReceived() const { return reports_received_; }
   std::uint64_t predictedDeclarations() const { return predicted_; }
 
  private:
-  void tick();
-  void onIntegralReport(std::uint64_t seq, double integral, SimTime sampledAt);
-  void onReport(std::uint64_t seq, double load, SimTime sampledAt);
-  void declare(bool predicted);
+  void tick() override;
+  /// Mark the poll answered and turn the reading into a load sample.
+  void onReply(std::uint64_t seq, const ProbeReading& reading);
+  /// The verdict rule, applied to one windowed load sample.
+  void onSample(double load, SimTime sampledAt);
+  void declareFailure(bool predicted);
   double predictedLoadAtHorizon() const;
 
-  Simulator& sim_;
-  Network& net_;
-  Machine& monitor_;
-  Machine* target_;
-  Params params_;
-  Callbacks callbacks_;
-  PeriodicTimer timer_;
-
   std::uint64_t next_seq_ = 1;
-  std::uint64_t epoch_ = 0;
   std::uint64_t outstanding_seq_ = 0;
   bool outstanding_answered_ = true;
   int consecutive_misses_ = 0;
   int consecutive_healthy_ = 0;
   int consecutive_unhealthy_ = 0;
-  bool last_unhealthy_was_prediction_ = false;
-  bool failed_ = false;
   std::deque<std::pair<SimTime, double>> samples_;
   bool has_prev_integral_ = false;
   double prev_integral_ = 0.0;
   SimTime prev_sampled_at_ = 0;
-
-  std::uint64_t polls_sent_ = 0;
-  std::uint64_t reports_received_ = 0;
   std::uint64_t predicted_ = 0;
 };
 

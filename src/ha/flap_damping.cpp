@@ -9,12 +9,12 @@
 namespace streamha {
 
 FlapDamper::FlapDamper(HaCoordinator& coordinator, Cluster& cluster,
-                       FlapDamping params, HeartbeatDetector::Params probe,
+                       FlapDamping params, SimDuration probeInterval,
                        std::function<void(MachineId)> onReadmit)
     : coordinator_(coordinator),
       cluster_(cluster),
       params_(params),
-      probe_(probe),
+      probe_interval_(probeInterval),
       on_readmit_(std::move(onReadmit)) {}
 
 MachineId FlapDamper::monitor() const {
@@ -100,30 +100,17 @@ void FlapDamper::probe() {
     // Crashed while quarantined: keep waiting -- re-admission requires the
     // node to come back and then answer a full healthy streak.
     probe_streak_ = 0;
-    scheduleProbe(probe_.interval);
+    scheduleProbe(probe_interval_);
     return;
   }
-  // One probe ping, same path as a heartbeat: deliver, control work on the
-  // quarantined node, reply. Timeliness is judged against the interval.
-  const MachineId monitorM = monitor();
-  const MachineId targetM = quarantined_;
-  Machine* target = &machine;
+  // One heartbeat round trip to the quarantined node; timeliness is judged
+  // against the interval.
   const std::uint64_t epoch = probe_epoch_;
   auto answered = std::make_shared<bool>(false);
-  cluster_.network().send(
-      monitorM, targetM, MsgKind::kHeartbeatPing, probe_.pingBytes, 0,
-      [this, target, answered, monitorM, targetM, epoch] {
-        if (epoch != probe_epoch_) return;
-        target->submitControl(
-            probe_.replyWorkUs, [this, answered, monitorM, targetM, epoch] {
-              if (epoch != probe_epoch_) return;
-              cluster_.network().send(targetM, monitorM,
-                                      MsgKind::kHeartbeatReply,
-                                      probe_.replyBytes, 0,
-                                      [answered] { *answered = true; });
-            });
-      });
-  cluster_.sim().schedule(probe_.interval, [this, answered, epoch] {
+  sendProbe(cluster_.sim(), cluster_.network(), monitor(), machine,
+            MsgKind::kHeartbeatPing, MsgKind::kHeartbeatReply,
+            [answered](const ProbeReading&) { *answered = true; });
+  cluster_.sim().schedule(probe_interval_, [this, answered, epoch] {
     if (epoch != probe_epoch_) return;
     if (quarantined_ == kNoMachine) return;
     if (*answered) {

@@ -26,7 +26,7 @@
 
 #include "cluster/cluster.hpp"
 #include "common/types.hpp"
-#include "detect/heartbeat.hpp"
+#include "detect/detector.hpp"
 
 namespace streamha {
 
@@ -53,10 +53,11 @@ struct FlapDamping {
 class FlapDamper {
  public:
   /// Damps `coordinator`: its incidents carry the quarantine events and its
-  /// primary's machine sends the re-admission probes, shaped like heartbeats
-  /// by `probe`. `onReadmit` runs when a quarantined machine is re-admitted.
+  /// primary's machine sends the re-admission probes, one heartbeat round
+  /// trip every `probeInterval`. `onReadmit` runs when a quarantined machine
+  /// is re-admitted.
   FlapDamper(HaCoordinator& coordinator, Cluster& cluster, FlapDamping params,
-             HeartbeatDetector::Params probe,
+             SimDuration probeInterval,
              std::function<void(MachineId)> onReadmit);
 
   const FlapDamping& params() const { return params_; }
@@ -99,7 +100,7 @@ class FlapDamper {
   HaCoordinator& coordinator_;
   Cluster& cluster_;
   FlapDamping params_;
-  HeartbeatDetector::Params probe_;
+  SimDuration probe_interval_;
   std::function<void(MachineId)> on_readmit_;
   /// Completion times of recent cycles against `cycle_machine_` (pruned to
   /// the damping window).

@@ -40,8 +40,8 @@ class HybridCoordinator : public HaCoordinator {
  public:
   HybridCoordinator(Runtime& rt, SubjobId subjob, HaParams params)
       : HaCoordinator(rt, subjob, std::move(params)),
-        damper_(*this, rt.cluster(), params_.damping, params_.heartbeat,
-                [this](MachineId machine) {
+        damper_(*this, rt.cluster(), params_.damping,
+                params_.heartbeat.interval, [this](MachineId machine) {
                   if (params_.planner != nullptr) {
                     params_.planner->setQuarantined(machine, false);
                   }

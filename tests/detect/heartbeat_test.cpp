@@ -94,26 +94,6 @@ TEST_F(HeartbeatFixture, CrashedTargetIsDeclared) {
   EXPECT_TRUE(recoveries.empty());
 }
 
-TEST_F(HeartbeatFixture, RetargetResetsStateAndFollowsNewMachine) {
-  auto det = makeDetector(3);
-  det->start();
-  sim.runUntil(2 * kSecond);
-  target->crash();
-  target_up = false;
-  sim.runUntil(4 * kSecond);
-  ASSERT_EQ(failures.size(), 1u);
-
-  Machine other(sim, 2, rng.fork(2));
-  // Network up-check only knows machines 0/1; route the new machine as "1".
-  target_up = true;
-  det->retarget(other);
-  EXPECT_FALSE(det->failed());
-  EXPECT_EQ(det->targetId(), 2);
-  sim.runUntil(8 * kSecond);
-  // Healthy new target: no further declarations.
-  EXPECT_EQ(failures.size(), 1u);
-}
-
 TEST_F(HeartbeatFixture, StopCeasesPinging) {
   auto det = makeDetector(3);
   det->start();

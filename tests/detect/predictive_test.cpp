@@ -18,12 +18,11 @@ struct PredictiveFixture : ::testing::Test {
   std::vector<SimTime> recoveries;
 
   std::unique_ptr<PredictiveDetector> makeDetector() {
-    PredictiveDetector::Params params;
     PredictiveDetector::Callbacks callbacks;
     callbacks.onFailure = [this](SimTime t) { failures.push_back(t); };
     callbacks.onRecovery = [this](SimTime t) { recoveries.push_back(t); };
     return std::make_unique<PredictiveDetector>(sim, net, *monitor, *target,
-                                                params, std::move(callbacks));
+                                                std::move(callbacks));
   }
 };
 
@@ -33,7 +32,7 @@ TEST_F(PredictiveFixture, QuietTargetNeverDeclared) {
   target->setBackgroundLoad(0.3);
   sim.runUntil(20 * kSecond);
   EXPECT_TRUE(failures.empty());
-  EXPECT_GT(det->reportsReceived(), 150u);
+  EXPECT_GT(det->repliesReceived(), 150u);
 }
 
 TEST_F(PredictiveFixture, DeclaresOnHighObservedLoad) {
@@ -91,19 +90,6 @@ TEST_F(PredictiveFixture, SilenceFallbackCatchesCrash) {
   EXPECT_TRUE(det->failed());
 }
 
-TEST_F(PredictiveFixture, RetargetResets) {
-  auto det = makeDetector();
-  det->start();
-  target->setBackgroundLoad(0.95);
-  sim.runUntil(3 * kSecond);
-  ASSERT_TRUE(det->failed());
-  Machine other(sim, 1, rng.fork(9));  // Same id: routable in this fixture.
-  det->retarget(other);
-  EXPECT_FALSE(det->failed());
-  sim.runUntil(8 * kSecond);
-  EXPECT_FALSE(det->failed());
-}
-
 TEST(PredictiveHybrid, PredictionDetectsRampedSpikesBeforeHeartbeat) {
   // Side-by-side comparison on one target: a spike that ramps up over
   // 800 ms is declared by the predictor during the ramp, while the
@@ -123,12 +109,11 @@ TEST(PredictiveHybrid, PredictionDetectsRampedSpikesBeforeHeartbeat) {
     if (heartbeat_detect == kTimeNever) heartbeat_detect = t;
   };
   HeartbeatDetector heartbeat(sim, net, monitor, target, hb, std::move(hbCb));
-  PredictiveDetector::Params pd;
   PredictiveDetector::Callbacks pdCb;
   pdCb.onFailure = [&](SimTime t) {
     if (predictive_detect == kTimeNever) predictive_detect = t;
   };
-  PredictiveDetector predictor(sim, net, monitor, target, pd, std::move(pdCb));
+  PredictiveDetector predictor(sim, net, monitor, target, std::move(pdCb));
   heartbeat.start();
   predictor.start();
 
@@ -155,9 +140,8 @@ TEST(PredictiveHybrid, CoordinatorRunsOnPredictiveDetectorEndToEnd) {
   p.seed = 44;
   p.detectorFactory = [](Simulator& sim, Network& net, Machine& monitor,
                          Machine& target, FailureDetector::Callbacks cb) {
-    PredictiveDetector::Params params;
     return std::make_unique<PredictiveDetector>(sim, net, monitor, target,
-                                                params, std::move(cb));
+                                                std::move(cb));
   };
   Scenario s(p);
   s.build();

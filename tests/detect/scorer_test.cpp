@@ -66,62 +66,5 @@ TEST(DetectorScorer, ResetClearsDeclarations) {
   EXPECT_TRUE(scorer.declarations().empty());
 }
 
-TEST(DetectorScorer, AttributesFalseAlarmsPerMachineWithConcurrentSuspects) {
-  // Regression: two machines degrade concurrently. A declaration against
-  // machine 7 during machine 3's incident (but outside 7's own) used to be
-  // credited as a detection by the global any-window matching; per-machine
-  // attribution must count it as a false alarm against 7.
-  DetectorScorer scorer(100 * kMillisecond);
-  std::map<MachineId, SpikeWindows> spikes;
-  spikes[3] = {{1 * kSecond, 4 * kSecond}};
-  spikes[7] = {{2 * kSecond, 3 * kSecond}};
-
-  scorer.onDeclared(1500 * kMillisecond, 3);  // Inside 3's incident: hit.
-  scorer.onDeclared(2500 * kMillisecond, 7);  // Inside 7's incident: hit.
-  // t=3.5s: machine 3 is still degraded but 7's incident is over. The legacy
-  // matcher would credit this against 3's still-open window.
-  scorer.onDeclared(3500 * kMillisecond, 7);
-
-  const auto score = scorer.score(spikes);
-  EXPECT_EQ(score.spikesTotal, 2u);
-  EXPECT_EQ(score.spikesDetected, 2u);
-  EXPECT_EQ(score.declarations, 3u);
-  EXPECT_EQ(score.falseAlarms, 1u);
-
-  // The same declarations through the legacy global overload show the bug
-  // this fixes: the misattributed declaration is wrongly excused.
-  SpikeWindows merged = {{1 * kSecond, 4 * kSecond}, {2 * kSecond, 3 * kSecond}};
-  const auto legacy = scorer.score(merged);
-  EXPECT_EQ(legacy.falseAlarms, 0u);
-}
-
-TEST(DetectorScorer, UnattributedDeclarationsFallBackToGlobalMatching) {
-  DetectorScorer scorer(0);
-  std::map<MachineId, SpikeWindows> spikes;
-  spikes[3] = {{1 * kSecond, 2 * kSecond}};
-  scorer.onDeclared(1500 * kMillisecond);  // Legacy, no machine attribution.
-  const auto score = scorer.score(spikes);
-  EXPECT_EQ(score.spikesDetected, 1u);
-  EXPECT_EQ(score.falseAlarms, 0u);
-}
-
-TEST(DetectorScorer, SuspicionAccountingReportsPeakAndConfidence) {
-  DetectorScorer scorer;
-  scorer.onSuspicion(500 * kMillisecond, 3, 0.4);
-  scorer.onSuspicion(1200 * kMillisecond, 3, 2.6);
-  scorer.onSuspicion(1400 * kMillisecond, 3, 1.1);
-  scorer.onDeclared(1200 * kMillisecond, 3, 2.6);
-  scorer.onDeclared(1600 * kMillisecond, 3, 2.0);
-  std::map<MachineId, SpikeWindows> spikes;
-  spikes[3] = {{1 * kSecond, 2 * kSecond}};
-  const auto score = scorer.score(spikes);
-  EXPECT_EQ(score.suspicionSamples, 3u);
-  EXPECT_NEAR(score.peakSuspicion, 2.6, 1e-9);
-  EXPECT_NEAR(score.meanConfidence, 2.3, 1e-9);
-  // reset() clears the trajectory too.
-  scorer.reset();
-  EXPECT_TRUE(scorer.suspicionTrajectory().empty());
-}
-
 }  // namespace
 }  // namespace streamha

@@ -438,9 +438,8 @@ TEST(GoldenFingerprint, PredictiveHybridOnRampedSpikes) {
   p.duration = 9 * kSecond;
   p.detectorFactory = [](Simulator& sim, Network& net, Machine& monitor,
                          Machine& target, FailureDetector::Callbacks cb) {
-    PredictiveDetector::Params params;
     return std::make_unique<PredictiveDetector>(sim, net, monitor, target,
-                                                params, std::move(cb));
+                                                std::move(cb));
   };
   const harness::ChaosOutcome out = runScripted(
       p, 3 * kSecond, nullptr, 2,
