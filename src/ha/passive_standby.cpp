@@ -84,13 +84,19 @@ void PassiveStandbyCoordinator::finishMigration(Subjob& copy,
   // The old copy itself is told to terminate via a reliable control message
   // -- it lands whenever the stalled machine gets around to it (retried if
   // lost). Until then the old copy may keep producing from its backlog;
-  // downstream dedup drops it.
-  Subjob* oldPtr = old;
-  net().sendReliable(copy.machine().id(), oldMachine, MsgKind::kControl,
-                     Runtime::kControlMsgBytes, 0, [this, oldPtr] {
-                       oldPtr->terminateAll();
-                       rt_.removeWiresOf(*oldPtr);
-                     });
+  // downstream dedup drops it. A crashed machine never gets the message, so
+  // its copy is terminated and unwired now: otherwise the downstream
+  // consumer would keep acking the dead copy.
+  if (!old->machine().isUp()) {
+    old->terminateAll();
+    rt_.removeWiresOf(*old);
+  } else {
+    net().sendReliable(copy.machine().id(), oldMachine, MsgKind::kControl,
+                       Runtime::kControlMsgBytes, 0, [this, old] {
+                         old->terminateAll();
+                         rt_.removeWiresOf(*old);
+                       });
+  }
 
   // Role swap: the old primary machine becomes the new standby.
   primary_ = &copy;

@@ -118,6 +118,39 @@ TEST(PassiveStandby, SecondFailureMigratesBack) {
             run.scenario.source().generatedCount());
 }
 
+TEST(PassiveStandby, MigrationOffACrashedPrimaryStopsAckingTheDeadCopy) {
+  // The reliable terminate message never reaches a crashed machine, so the
+  // migration itself must terminate the dead copy and remove its wires --
+  // otherwise the downstream consumer keeps sending it acks.
+  ScenarioParams p = psParams();
+  p.seed = 81;
+  Scenario s(p);
+  s.build();
+  const MachineId home = s.primaryMachineOf(2);
+  s.cluster().sim().schedule(2 * kSecond,
+                             [&s, home] { s.cluster().machine(home).crash(); });
+  s.start();
+  s.run(4 * kSecond);
+  auto* coordinator = s.coordinatorFor(2);
+  ASSERT_EQ(coordinator->recoveries().size(), 1u);
+  ASSERT_TRUE(coordinator->recoveries()[0].complete());
+  ASSERT_NE(coordinator->primary()->machine().id(), home);
+  EXPECT_EQ(s.runtime().instancesOf(2).size(), 1u);
+
+  // Installed after the Runtime was built, so loss recovery stays off.
+  int acksToDeadCopy = 0;
+  s.cluster().network().setFault(
+      [&](MachineId, MachineId dst, MsgKind kind, std::size_t) {
+        if (kind == MsgKind::kAck && dst == home) ++acksToDeadCopy;
+        return Network::FaultDecision{};
+      });
+  s.run(5 * kSecond);
+  EXPECT_EQ(acksToDeadCopy, 0);
+  s.drain();
+  const StreamId sinkStream = s.runtime().spec().sinkStreams[0];
+  EXPECT_EQ(s.sink().highestSeq(sinkStream), s.source().generatedCount());
+}
+
 TEST(PassiveStandby, LargerCheckpointIntervalIncreasesRetransmission) {
   ScenarioParams small = psParams();
   small.checkpointInterval = 50 * kMillisecond;

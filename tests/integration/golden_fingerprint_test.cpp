@@ -289,7 +289,7 @@ TEST(GoldenFingerprint, PassiveStandbyMigratesOnCrash) {
                   [](Scenario& s) { crashAt(s, 2, 2 * kSecond); });
   EXPECT_EQ(out.result.recovery.count, 1u);
   EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
-  expectPins(out, 0x22a654627df9e3f0ULL, 0x1e50f7e2c4ae6329ULL);
+  expectPins(out, 0x91d51db100b37ccdULL, 0x1e50f7e2c4ae6329ULL);
 }
 
 TEST(GoldenFingerprint, ActiveStandbyReplacesCrashedCopy) {
@@ -370,7 +370,7 @@ TEST(GoldenFingerprint, PassiveStandbyDiskStoreMigratesOnCrash) {
       p, 3 * kSecond, [](Scenario& s) { crashAt(s, 2, 2 * kSecond); });
   EXPECT_EQ(out.result.recovery.count, 1u);
   EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
-  expectPins(out, 0xd498b7786a433936ULL, 0xe3287e682cb31779ULL);
+  expectPins(out, 0xf990735099e827ffULL, 0xe3287e682cb31779ULL);
 }
 
 TEST(GoldenFingerprint, DeltaTieredChaosSeedWithStaleAndMissedDeltas) {
