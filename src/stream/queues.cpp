@@ -380,7 +380,7 @@ void InputQueue::resendAck(StreamId stream) {
   if (it == acked_.end() || it->second.upTo == 0) return;
   const SimTime now = resend_clock_->now();
   SimTime& last = it->second.lastResend;
-  if (last != 0 && now - last < kAckFlushInterval) return;
+  if (last != kTimeNever && now - last < kAckFlushInterval) return;
   last = now;
   sendAck(stream, it->second.upTo);
 }

@@ -338,7 +338,7 @@ class InputQueue {
   /// The last ack sent upstream for one stream.
   struct AckRecord {
     ElementSeq upTo = 0;
-    SimTime lastResend = 0;  ///< 0: never resent.
+    SimTime lastResend = kTimeNever;  ///< kTimeNever: never resent.
   };
 
   void updatePressure();
