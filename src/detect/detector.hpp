@@ -28,7 +28,7 @@ namespace streamha {
 
 /// What the target read when a probe's request landed on it.
 struct ProbeReading {
-  SimTime at = 0;            ///< The target's clock.
+  SimTime at = 0;            ///< When the request landed.
   double loadIntegral = 0.0; ///< Machine::loadIntegral() at that instant.
 };
 
@@ -89,11 +89,11 @@ class FailureDetector {
   void record(TraceEventType type, std::uint64_t value, std::uint64_t aux = 0);
 
   Simulator& sim_;
+
+ private:
   Network& net_;
   Machine& monitor_;
   Machine& target_;
-
- private:
   Callbacks callbacks_;
   PeriodicTimer timer_;
   bool failed_ = false;
