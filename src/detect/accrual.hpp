@@ -15,9 +15,9 @@
 // target from flapping the verdict). Because the mean adapts to the observed
 // arrival process, a gray target whose replies are merely late stretches the
 // estimated mean and stops looking suspicious -- exactly the adaptive
-// suppression first-miss counting lacks. The detector implements the
-// FailureDetector interface, so the hybrid/AS/PS coordinators consume it
-// unchanged through HaParams::detectorFactory.
+// suppression first-miss counting lacks. It is a FailureDetector, so the
+// hybrid/AS/PS coordinators consume it unchanged through
+// HaParams::detectorFactory.
 #pragma once
 
 #include <cstdint>

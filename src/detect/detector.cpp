@@ -12,7 +12,6 @@ constexpr std::size_t kProbeBytes = 64;
 void sendProbe(Simulator& sim, Network& net, MachineId monitor, Machine& target,
                MsgKind request, MsgKind reply,
                std::function<void(const ProbeReading&)> onReply) {
-  // Each leg copies `onReply`: a duplicated message runs its closure again.
   const MachineId targetId = target.id();
   net.send(monitor, targetId, request, kProbeBytes, 0,
            [&sim, &net, &target, monitor, targetId, reply, onReply] {
