@@ -49,8 +49,6 @@ class AccrualDetector : public FailureDetector {
     return failuresDeclared();
   }
 
-  const Params& params() const { return params_; }
-
  private:
   void tick() override;
   void onReply(std::uint64_t seq);

@@ -26,7 +26,6 @@ class HeartbeatDetector : public FailureDetector {
                     Machine& target, Params params, Callbacks callbacks);
 
   int consecutiveMisses() const { return consecutive_misses_; }
-  const Params& params() const { return params_; }
 
  private:
   void tick() override;
