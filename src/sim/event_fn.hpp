@@ -21,9 +21,10 @@ namespace streamha {
 
 class EventFn {
  public:
-  /// Sized to hold the largest hot-path closure (Network's loopback delivery:
-  /// a this-pointer, two machine ids and a moved-in std::function) inline,
-  /// with headroom for coordinator callbacks capturing a few ids more.
+  /// Sized to hold the largest hot-path closure inline -- Network's loopback
+  /// data message: a this-pointer, the destination id, the receiver and one
+  /// Element, 64 bytes -- with headroom for coordinator callbacks capturing a
+  /// few ids more.
   static constexpr std::size_t kInlineBytes = 88;
 
   EventFn() = default;

@@ -24,9 +24,7 @@ ElementSeq OutputQueue::produce(SimTime sourceTs, std::uint64_t value,
     if (conn.nextToSend == e.seq) {
       // Fast path: the connection is caught up; ship just this element.
       conn.nextToSend = e.seq + 1;
-      std::vector<Element> batch{e};
-      net_.send(src_machine_, conn.dst, MsgKind::kData, wireBytes(batch), 1,
-                [deliver = conn.deliver, batch] { deliver(batch); });
+      net_.sendElements(src_machine_, conn.dst, *conn.receiver, e);
     } else if (conn.nextToSend < e.seq) {
       // The connection fell behind (e.g. its queue was just restored from a
       // checkpoint): ship the retained backlog up to and including `e`.
@@ -71,10 +69,16 @@ void OutputQueue::updateFlowBlocked() {
 
 int OutputQueue::addConnection(MachineId dstMachine, bool active,
                                bool gatesTrim, DeliverFn deliver) {
+  return addConnection(dstMachine, active, gatesTrim,
+                       adapters_.emplace_back(std::move(deliver)));
+}
+
+int OutputQueue::addConnection(MachineId dstMachine, bool active,
+                               bool gatesTrim, ElementReceiver& receiver) {
   Connection conn;
   conn.id = next_conn_id_++;
   conn.dst = dstMachine;
-  conn.deliver = std::move(deliver);
+  conn.receiver = &receiver;
   conn.active = active;
   conn.gatesTrim = gatesTrim;
   conn.nextToSend = trimmed_up_to_ + 1;
@@ -205,9 +209,8 @@ void OutputQueue::push(Connection& conn) {
     }
     if (batch.empty()) break;
     from = batch.back().seq + 1;
-    net_.send(src_machine_, conn.dst, MsgKind::kData, wireBytes(batch),
-              batch.size(),
-              [deliver = conn.deliver, batch] { deliver(batch); });
+    net_.sendElements(src_machine_, conn.dst, *conn.receiver,
+                      std::move(batch));
   }
   conn.nextToSend = std::max(conn.nextToSend, from);
 }
@@ -289,7 +292,7 @@ void InputQueue::removeUpstream(int route) {
   std::erase_if(routes_, [route](const Route& r) { return r.id == route; });
 }
 
-void InputQueue::receive(const std::vector<Element>& batch) {
+void InputQueue::receive(std::span<const Element> batch) {
   bool delivered = false;
   // Streams needing loss-recovery signaling, at most once per batch each.
   std::vector<StreamId> gapped;

@@ -254,9 +254,8 @@ void Runtime::createWire(const Wire& plan, WireOpts opts) {
                                    ? plan.consumer->machine().id()
                                    : sink_->machineId();
   const MachineId srcMachine = producerMachine(plan);
-  const int connId = plan.oq->addConnection(
-      dstMachine, opts.active, opts.gatesTrim,
-      [iq](std::vector<Element> batch) { iq->receive(batch); });
+  const int connId =
+      plan.oq->addConnection(dstMachine, opts.active, opts.gatesTrim, *iq);
   Network* net = &cluster_.network();
   OutputQueue* oq = plan.oq;
   InputQueue::AckFn ack = [net, srcMachine, dstMachine, oq, connId](

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -393,6 +394,164 @@ TEST(BatchedDelivery, ReentrantSendFromDeliveryCallbackTakesFreshHop) {
   EXPECT_EQ(at[0], 100);
   EXPECT_EQ(at[1], 100);  // The same-instant neighbor stays in the run.
   EXPECT_EQ(at[2], 200);  // The reentrant message takes a fresh latency hop.
+}
+
+// -- Typed data messages -----------------------------------------------------
+//
+// A data message is a record of its receiver and its elements. It rides the
+// same enqueue step as a closure message, so it is counted, faulted,
+// serialized and delivered the same way.
+
+/// Records each data message's elements with the time it landed.
+struct ElementLog final : ElementReceiver {
+  explicit ElementLog(const Simulator& clock) : clock(clock) {}
+  void receive(std::span<const Element> batch) override {
+    arrivals.emplace_back(clock.now(),
+                          std::vector<Element>(batch.begin(), batch.end()));
+  }
+  /// The seqs of every arrival, in arrival order.
+  std::vector<ElementSeq> seqs() const {
+    std::vector<ElementSeq> out;
+    for (const auto& [at, batch] : arrivals) {
+      for (const Element& e : batch) out.push_back(e.seq);
+    }
+    return out;
+  }
+  const Simulator& clock;
+  std::vector<std::pair<SimTime, std::vector<Element>>> arrivals;
+};
+
+Element elementNo(ElementSeq seq) {
+  Element e;
+  e.stream = 4;
+  e.seq = seq;
+  e.sourceTs = 1000 + static_cast<SimTime>(seq);
+  e.value = 31 * seq;
+  return e;
+}
+
+bool sameElement(const Element& a, const Element& b) {
+  return a.stream == b.stream && a.seq == b.seq && a.sourceTs == b.sourceTs &&
+         a.payloadBytes == b.payloadBytes && a.value == b.value;
+}
+
+TEST(ElementMessages, CrossMachineMessageDeliversItsElementOnce) {
+  Rig rig;
+  ElementLog log(rig.sim);
+  const Element sent = elementNo(5);
+  rig.net.sendElements(0, 1, log, sent);
+  rig.sim.runAll();
+  ASSERT_EQ(log.arrivals.size(), 1u);
+  EXPECT_EQ(log.arrivals[0].first, 2 + 100);  // ceil(132 B / 125) + latency.
+  ASSERT_EQ(log.arrivals[0].second.size(), 1u);
+  EXPECT_TRUE(sameElement(log.arrivals[0].second[0], sent));
+  const auto& c = rig.net.counters();
+  EXPECT_EQ(c.messagesOf(MsgKind::kData), 1u);
+  EXPECT_EQ(c.elementsOf(MsgKind::kData), 1u);
+  EXPECT_EQ(c.bytesOf(MsgKind::kData), wireBytes(sent));
+}
+
+TEST(ElementMessages, LoopbackMessageDeliversItsElementOnceUncounted) {
+  Rig rig;
+  ElementLog log(rig.sim);
+  const Element sent = elementNo(9);
+  rig.net.sendElements(1, 1, log, sent);
+  rig.sim.runAll();
+  ASSERT_EQ(log.arrivals.size(), 1u);
+  EXPECT_EQ(log.arrivals[0].first, Network::Params{}.localDelay);
+  ASSERT_EQ(log.arrivals[0].second.size(), 1u);
+  EXPECT_TRUE(sameElement(log.arrivals[0].second[0], sent));
+  EXPECT_EQ(rig.net.counters().totalMessages(), 0u);
+}
+
+TEST(ElementMessages, BatchIsOneMessageCarryingEveryElement) {
+  Rig rig;
+  ElementLog log(rig.sim);
+  std::vector<Element> batch;
+  for (ElementSeq seq = 1; seq <= 3; ++seq) batch.push_back(elementNo(seq));
+  const std::uint64_t bytes = wireBytes(batch);
+  rig.net.sendElements(0, 1, log, batch);
+  rig.net.sendElements(1, 1, log, batch);  // And once over loopback.
+  rig.sim.runAll();
+  ASSERT_EQ(log.arrivals.size(), 2u);
+  for (const auto& [at, got] : log.arrivals) {
+    ASSERT_EQ(got.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_TRUE(sameElement(got[i], batch[i]));
+    }
+  }
+  const auto& c = rig.net.counters();
+  EXPECT_EQ(c.messagesOf(MsgKind::kData), 1u);
+  EXPECT_EQ(c.elementsOf(MsgKind::kData), 3u);
+  EXPECT_EQ(c.bytesOf(MsgKind::kData), bytes);
+}
+
+TEST(ElementMessages, InjectedDuplicateLandsRightAfterItsOriginal) {
+  Rig rig;
+  auto calls = std::make_shared<int>(0);
+  Network::FaultDecision dup;
+  dup.duplicates = 1;
+  rig.net.setFault(scriptedFaults({dup, {}, dup}, calls));
+  ElementLog log(rig.sim);
+  rig.net.sendElements(0, 1, log, elementNo(1));
+  rig.net.sendElements(0, 1, log, elementNo(2));
+  rig.net.sendElements(0, 1, log, std::vector<Element>{elementNo(3),
+                                                       elementNo(4)});
+  rig.sim.runAll();
+  EXPECT_EQ(log.seqs(), (std::vector<ElementSeq>{1, 1, 2, 3, 4, 3, 4}));
+  ASSERT_EQ(log.arrivals.size(), 5u);
+  // Each copy is identical to its original and lands at the same instant.
+  EXPECT_EQ(log.arrivals[0].first, log.arrivals[1].first);
+  EXPECT_TRUE(
+      sameElement(log.arrivals[0].second[0], log.arrivals[1].second[0]));
+  EXPECT_EQ(log.arrivals[3].first, log.arrivals[4].first);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(
+        sameElement(log.arrivals[3].second[i], log.arrivals[4].second[i]));
+  }
+  // Duplicates are copies on the receive side, not extra sends.
+  EXPECT_EQ(rig.net.counters().messagesOf(MsgKind::kData), 3u);
+  EXPECT_EQ(rig.net.counters().elementsOf(MsgKind::kData), 4u);
+}
+
+TEST(ElementMessages, MessageToCrashedDestinationIsDropped) {
+  Rig rig;
+  ElementLog log(rig.sim);
+  rig.net.sendElements(0, 1, log, elementNo(1));
+  rig.net.sendElements(1, 1, log, elementNo(2));
+  rig.up1 = false;  // Down before either lands.
+  rig.sim.runAll();
+  EXPECT_TRUE(log.arrivals.empty());
+  // The cross-machine message still hit the wire.
+  EXPECT_EQ(rig.net.counters().messagesOf(MsgKind::kData), 1u);
+}
+
+TEST(ElementMessages, CrashedSenderSendsNoElements) {
+  Rig rig;
+  ElementLog log(rig.sim);
+  rig.up0 = false;
+  rig.net.sendElements(0, 1, log, elementNo(1));
+  rig.net.sendElements(0, 1, log, std::vector<Element>{elementNo(2)});
+  rig.sim.runAll();
+  EXPECT_TRUE(log.arrivals.empty());
+  EXPECT_EQ(rig.net.counters().totalMessages(), 0u);
+}
+
+TEST(ElementMessages, DataAndClosureMessagesShareOneLinkInSendOrder) {
+  Rig rig;
+  ElementLog log(rig.sim);
+  std::vector<SimTime> controlAt;
+  rig.net.sendElements(0, 1, log, elementNo(1));
+  rig.net.send(0, 1, MsgKind::kControl, 1250, 0,
+               [&] { controlAt.push_back(rig.sim.now()); });
+  rig.net.sendElements(0, 1, log, elementNo(2));
+  rig.sim.runAll();
+  ASSERT_EQ(log.arrivals.size(), 2u);
+  ASSERT_EQ(controlAt.size(), 1u);
+  // 132 B, then 1250 B, then 132 B serialized back to back on one link.
+  EXPECT_EQ(log.arrivals[0].first, 102);
+  EXPECT_EQ(controlAt[0], 112);
+  EXPECT_EQ(log.arrivals[1].first, 114);
 }
 
 TEST_F(NetFixture, MsgKindNames) {

@@ -515,6 +515,64 @@ TEST_F(QueueFixture, BatchingRespectsMaxBatch) {
   EXPECT_EQ(batches, 2u);
 }
 
+// -- The typed data path: OutputQueue -> Network -> consumer InputQueue ------
+
+TEST_F(QueueFixture, ConsumerQueueReceivesCrossMachineAndLoopbackOnce) {
+  OutputQueue oq(net, 7, 0);
+  InputQueue remote;
+  InputQueue local;
+  remote.subscribe(7);
+  local.subscribe(7);
+  oq.addConnection(1, true, true, remote);
+  oq.addConnection(0, true, true, local);
+  for (std::uint64_t v = 10; v < 13; ++v) oq.produce(0, v, 100);
+  sim.runAll();
+  for (InputQueue* iq : {&remote, &local}) {
+    ASSERT_EQ(iq->size(), 3u);
+    EXPECT_EQ(iq->duplicatesDropped(), 0u);
+    EXPECT_EQ(iq->front().value, 10u);
+    EXPECT_EQ(iq->expected(7), 4u);
+  }
+  // One message per element on the wire; loopback is not counted.
+  EXPECT_EQ(net.counters().messagesOf(MsgKind::kData), 3u);
+  EXPECT_EQ(net.counters().elementsOf(MsgKind::kData), 3u);
+}
+
+TEST_F(QueueFixture, PushBatchIsOneMessageCarryingEveryElement) {
+  OutputQueue oq(net, 7, 0);
+  InputQueue iq;
+  iq.subscribe(7);
+  const int conn = oq.addConnection(1, false, true, iq);
+  for (int i = 0; i < 5; ++i) oq.produce(0, i, 100);
+  oq.setConnectionActive(conn, true);  // Pushes the retained backlog.
+  sim.runAll();
+  EXPECT_EQ(iq.size(), 5u);
+  const auto& c = net.counters();
+  EXPECT_EQ(c.messagesOf(MsgKind::kData), 1u);
+  EXPECT_EQ(c.elementsOf(MsgKind::kData), 5u);
+  EXPECT_EQ(c.bytesOf(MsgKind::kData), 5u * (100 + kElementHeaderBytes));
+}
+
+TEST_F(QueueFixture, DataInFlightLandsAfterRemoveConnection) {
+  // A wire removed while its data is in flight still delivers that data; the
+  // consumer's dedup decides what it is worth.
+  OutputQueue oq(net, 7, 0);
+  InputQueue iq;
+  iq.subscribe(7);
+  Collector c;
+  const int typed = oq.addConnection(1, true, true, iq);
+  const int adapted = oq.addConnection(1, true, true, c.fn());
+  oq.produce(0, 1, 100);
+  oq.produce(0, 2, 100);
+  oq.removeConnection(typed);
+  oq.removeConnection(adapted);
+  EXPECT_EQ(oq.connectionCount(), 0);
+  sim.runAll();
+  EXPECT_EQ(iq.size(), 2u);
+  EXPECT_EQ(lastSeq(c), 2u);
+  EXPECT_EQ(c.received.size(), 2u);
+}
+
 TEST_F(QueueFixture, RetransmitStalledSendsNothingToCrashedPeer) {
   bool machine1_up = true;
   Network liveNet{sim, Network::Params{},
