@@ -34,9 +34,15 @@ std::vector<std::uint8_t> SyntheticLogic::serialize() const {
   std::memcpy(bytes.data(), &count_, 8);
   std::memcpy(bytes.data() + 8, &checksum_, 8);
   std::memcpy(bytes.data() + 16, &carry_, 8);
-  for (std::size_t i = 0; i < state_bytes_; ++i) {
-    bytes[24 + i] = static_cast<std::uint8_t>((checksum_ >> (8 * (i % 8))) & 0xFF);
+  // The body repeats checksum_'s eight bytes, lowest first.
+  std::uint8_t word[8];
+  for (std::size_t b = 0; b < 8; ++b) {
+    word[b] = static_cast<std::uint8_t>((checksum_ >> (8 * b)) & 0xFF);
   }
+  std::uint8_t* body = bytes.data() + 24;
+  std::size_t i = 0;
+  for (; i + 8 <= state_bytes_; i += 8) std::memcpy(body + i, word, 8);
+  for (; i < state_bytes_; ++i) body[i] = word[i % 8];
   return bytes;
 }
 

@@ -245,6 +245,30 @@ TEST_F(PeFixture, SyntheticLogicSerializeRoundTrip) {
   EXPECT_EQ(a.serialize().size(), 24u + 128u);
 }
 
+TEST_F(PeFixture, SyntheticLogicBodyRepeatsTheChecksumBytes) {
+  // The reference: body byte i is byte (i mod 8) of the checksum, lowest
+  // first. Body sizes on and off a multiple of 8, several checksums.
+  for (const std::size_t stateBytes : {0u, 1u, 7u, 8u, 9u, 64u, 2640u, 2643u}) {
+    SyntheticLogic logic(1.0, stateBytes);
+    std::vector<PeLogic::Emit> out;
+    for (ElementSeq seq = 1; seq <= 4; ++seq) {
+      const std::vector<std::uint8_t> bytes = logic.serialize();
+      ASSERT_EQ(bytes.size(), 24u + stateBytes);
+      const std::uint64_t checksum = logic.checksum();
+      for (std::size_t i = 0; i < stateBytes; ++i) {
+        ASSERT_EQ(bytes[24 + i],
+                  static_cast<std::uint8_t>((checksum >> (8 * (i % 8))) & 0xFF))
+            << "state " << stateBytes << " byte " << i << " seq " << seq;
+      }
+      Element e;
+      e.stream = 1;
+      e.seq = seq;
+      e.value = 0x0123456789abcdefULL * seq;
+      logic.process(e, out);
+    }
+  }
+}
+
 TEST_F(PeFixture, CrashedMachineHaltsProcessing) {
   auto pe = makePe();
   feed(*pe, 1, 2);
