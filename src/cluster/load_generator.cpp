@@ -69,14 +69,12 @@ void LoadGenerator::injectSpike(SimDuration duration) {
 
 void LoadGenerator::replayWindows(
     const std::vector<std::pair<SimTime, SimTime>>& windows) {
-  const SimTime base = sim_.now();
   for (const auto& [start, end] : windows) {
     if (end <= start) continue;
     const SimDuration duration = end - start;
     sim_.schedule(std::max<SimDuration>(0, start), [this, duration] {
       if (!in_spike_) beginSpike(duration);
     });
-    (void)base;
   }
 }
 

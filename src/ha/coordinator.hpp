@@ -23,7 +23,6 @@
 #include "checkpoint/store.hpp"
 #include "detect/detector.hpp"
 #include "detect/heartbeat.hpp"
-#include "detect/predictive.hpp"
 #include "ha/flap_damping.hpp"
 #include "metrics/recovery.hpp"
 #include "stream/runtime.hpp"
