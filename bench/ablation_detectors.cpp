@@ -77,10 +77,9 @@ int main() {
   std::printf(
       "\nThe payoff column is 'delay during failure': on ramped spikes the "
       "predictor switches over\nduring the ramp, before the stall (7 ms vs "
-      "38 ms here). The cost is a few extra speculative\nswitchovers per run "
-      "-- exactly the trade the Hybrid method is built to absorb, since a "
-      "false\nalarm only costs a cheap rollback. (False alarms also skew the "
-      "'detection' average: each one\nis attributed to the nearest earlier "
-      "spike.)\n");
+      "38 ms here), with no extra switchovers on these\nruns. A false alarm "
+      "would cost only a cheap rollback -- the trade the Hybrid method is\n"
+      "built to absorb. (False alarms also skew the 'detection' average: each "
+      "one is attributed\nto the nearest earlier spike.)\n");
   return 0;
 }

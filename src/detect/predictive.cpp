@@ -87,11 +87,13 @@ void PredictiveDetector::onReply(std::uint64_t seq,
     prev_sampled_at_ = reading.at;
     return;
   }
+  // Parked polls are released together and served in random order, so a
+  // reply can be older than the newest sample. It says nothing about the
+  // window since then: drop it without moving the baseline.
+  if (reading.at <= prev_sampled_at_) return;
   const double dt = static_cast<double>(reading.at - prev_sampled_at_);
   const double load =
-      dt <= 0 ? 0.0
-              : std::clamp((reading.loadIntegral - prev_integral_) / dt, 0.0,
-                           1.0);
+      std::clamp((reading.loadIntegral - prev_integral_) / dt, 0.0, 1.0);
   prev_integral_ = reading.loadIntegral;
   prev_sampled_at_ = reading.at;
   onSample(load, reading.at);

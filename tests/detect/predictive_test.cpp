@@ -90,6 +90,29 @@ TEST_F(PredictiveFixture, SilenceFallbackCatchesCrash) {
   EXPECT_TRUE(det->failed());
 }
 
+TEST_F(PredictiveFixture, OutOfOrderParkedRepliesYieldNoStaleSample) {
+  // A saturated target parks every poll. Once a second its load dips below
+  // the park threshold for an instant, which releases the parked polls
+  // together; they are served in random order, so their replies land out of
+  // order. A reply older than the newest sample says nothing about the
+  // window since it. The load never leaves 0.95, so the detector must stay
+  // failed: scoring a stale reply as a 0.0-load sample would recover it.
+  auto det = makeDetector();
+  det->start();
+  sim.runUntil(3 * kSecond);
+  target->setBackgroundLoad(0.95);
+  for (int burst = 1; burst <= 8; ++burst) {
+    sim.runUntil((3 + burst) * kSecond);
+    target->setBackgroundLoad(0.89);  // Releases the parked polls...
+    target->setBackgroundLoad(0.95);  // ...and parks the next ones.
+  }
+  sim.runUntil(12 * kSecond);
+  EXPECT_GT(det->repliesReceived(), 100u);  // The parked replies landed.
+  EXPECT_EQ(failures.size(), 1u);
+  EXPECT_TRUE(recoveries.empty());
+  EXPECT_TRUE(det->failed());
+}
+
 TEST(PredictiveHybrid, PredictionDetectsRampedSpikesBeforeHeartbeat) {
   // Side-by-side comparison on one target: a spike that ramps up over
   // 800 ms is declared by the predictor during the ramp, while the
