@@ -4,8 +4,12 @@
 // predicate's clean/residual verdicts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cluster/load_generator.hpp"
 #include "harness/chaos_harness.hpp"
+#include "stream/subjob.hpp"
 #include "trace/timeline.hpp"
 
 namespace streamha {
@@ -209,6 +213,46 @@ TEST(FlowControlTest, AccountedSheddingTraceMatchesCounters) {
   const harness::OracleReport oracle =
       harness::checkPrefixInOrderBoundedLoss(s, r, loss);
   EXPECT_TRUE(oracle.ok) << oracle.summary();
+}
+
+TEST(FlowControlTest, SheddingCoversCopiesInstantiatedMidRun) {
+  // Without pre-deployment the secondary is instantiated at switchover, long
+  // after build(); the runtime's instance listener must hand it the shed
+  // threshold and the accounting listener like every build-time copy.
+  ScenarioParams p;
+  p.mode = HaMode::kHybrid;
+  p.protectedSubjobs = {2};
+  p.predeploySecondary = false;
+  p.duration = 8 * kSecond;
+  p.seed = 91;
+  p.flow.enabled = true;
+  p.flow.shedThreshold = 20;
+
+  Scenario s(p);
+  s.build();
+  const std::vector<Subjob*> atBuild = s.runtime().instancesOf(2);
+  SpikeSpec spec;
+  spec.magnitude = 0.97;
+  LoadGenerator gen(s.cluster().sim(), s.cluster().machine(2), spec,
+                    s.cluster().forkRng(1234));
+  gen.replayWindows({{2 * kSecond, 4 * kSecond}});
+  s.start();
+  s.run(p.duration);
+  s.drain(2 * kSecond);
+  const ScenarioResult r = s.collect();
+
+  ASSERT_GE(r.switchovers, 1u);
+  std::uint64_t shedMidRun = 0;
+  for (Subjob* copy : s.runtime().instancesOf(2)) {
+    if (std::find(atBuild.begin(), atBuild.end(), copy) != atBuild.end()) {
+      continue;
+    }
+    for (std::size_t i = 0; i < copy->peCount(); ++i) {
+      shedMidRun += copy->pe(i).input().elementsShed();
+    }
+  }
+  EXPECT_GT(shedMidRun, 0u);
+  EXPECT_EQ(r.flow.elementsShedAccounted, r.elementsShed);
 }
 
 TEST(FlowControlTest, NeverHealingPartitionEndsResiduallyQuiescent) {

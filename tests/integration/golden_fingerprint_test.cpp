@@ -11,7 +11,10 @@
 // switchover and rollback, promotion, AS replacement and lossy links -- and
 // the detectors no workload runs: accrual under heartbeat jitter and a
 // spike, the predictive detector on ramped spikes, and the heartbeat and
-// benchmarking detectors of the Figs 12-13 detection study.
+// benchmarking detectors of the Figs 12-13 detection study -- and the flow
+// paths: a two-message ARQ window parking and superseding under chaos,
+// accounted shedding under chaos, and input-pressure and output-gate
+// backpressure.
 //
 // Each scenario test runs one short scripted scenario (at most 12 simulated
 // seconds, drain included) with tracing on, and pins two digests: stableHash
@@ -672,6 +675,130 @@ TEST(GoldenFingerprint, DagHybridUnderLossAndDuplicates) {
   EXPECT_EQ(out.switchovers, 5u);
   EXPECT_EQ(out.rollbacks, 5u);
   expectDagPins(out, 0x72d0b8455654d1d5ULL, 0xa61dbc5845643136ULL);
+}
+
+// -- Flow control and the windowed ARQ ----------------------------------------
+
+/// Hybrid on {1,2,3} with spares and flow control on, under a restarting
+/// crash, loss, duplicates, jitter and a partition inside [2 s, 8 s] of a
+/// 10 s run; traced, drained for a fixed 2 s.
+ScenarioParams flowChaosParams(std::uint64_t seed, std::size_t sendWindow) {
+  ScenarioParams p;
+  p.mode = HaMode::kHybrid;
+  p.protectedSubjobs = {1, 2, 3};
+  p.provisionSpares = true;
+  p.failStopAfter = 3 * kSecond;
+  p.duration = 10 * kSecond;
+  p.seed = seed;
+  p.trace.enabled = true;
+  p.flow.enabled = true;
+  p.flow.sendWindow = sendWindow;
+  harness::ChaosProfile profile;
+  profile.restartCrashed = true;
+  profile.faultsFrom = 2 * kSecond;
+  profile.faultsUntil = 8 * kSecond;
+  p.faults = harness::makeChaosPlan(p, profile, seed).schedule;
+  p.faultSeedSalt = seed;
+  return p;
+}
+
+harness::ChaosRunOpts fixedDrainOpts(harness::OracleMode oracle) {
+  harness::ChaosRunOpts opts;
+  opts.oracle = oracle;
+  opts.loss.maxLossFraction = 0.5;
+  opts.quiescentDrain = false;
+  opts.maxDrain = 2 * kSecond;
+  opts.captureTrace = true;
+  return opts;
+}
+
+TEST(GoldenFingerprint, WindowedArqUnderChaos) {
+  // A two-message window parks control traffic behind unacked sends; NACK
+  // gap requests supersede each other, parked and in flight.
+  const harness::ChaosOutcome out = harness::runChaosScenario(
+      flowChaosParams(3, 2), fixedDrainOpts(harness::OracleMode::kExactlyOnce));
+  EXPECT_EQ(out.result.flow.arqParked, 35u);
+  EXPECT_EQ(out.result.flow.arqUnparked, 35u);
+  EXPECT_EQ(out.result.flow.arqSuperseded, 187u);
+  EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
+  expectPins(out, 0x943818d6569cc83bULL, 0x3213399026fe2d85ULL);
+}
+
+TEST(GoldenFingerprint, AccountedSheddingUnderChaos) {
+  ScenarioParams p = flowChaosParams(1, 64);
+  p.flow.shedThreshold = 200;
+  const harness::ChaosOutcome out = harness::runChaosScenario(
+      p, fixedDrainOpts(harness::OracleMode::kBoundedLoss));
+  EXPECT_EQ(out.result.flow.shedIntervals, 14u);
+  EXPECT_EQ(out.result.elementsShed, 3160u);
+  EXPECT_EQ(out.result.flow.elementsShedAccounted, out.result.elementsShed);
+  EXPECT_TRUE(out.oracle.ok) << out.oracle.summary();
+  expectPins(out, 0x11cd9d8eb94e3adeULL, 0x75b96d60bc1c7408ULL);
+}
+
+/// Mirrors overloadedParams() in flow_control_test.cpp: a 2-subjob chain
+/// whose PEs cost 3 ms per element against a 1 ms arrival gap, with the
+/// input-pressure threshold armed.
+ScenarioParams backpressureParams() {
+  ScenarioParams p;
+  p.mode = HaMode::kNone;
+  p.protectedSubjobs = {};
+  p.numPes = 4;
+  p.pesPerSubjob = 2;
+  p.peWorkUs = 1500.0;
+  p.dataRatePerSec = 1000.0;
+  p.duration = 5 * kSecond;
+  p.seed = 11;
+  p.trace.enabled = true;
+  p.flow.enabled = true;
+  p.flow.sendWindow = 32;
+  p.flow.pauseThreshold = 40;
+  return p;
+}
+
+/// Build, run, drain to quiescence and pin; also returns the drain verdict
+/// and the output gates' block edges.
+struct BackpressureOutcome {
+  harness::ChaosOutcome out;
+  std::uint64_t blockEdges = 0;
+};
+
+BackpressureOutcome runBackpressure(ScenarioParams p) {
+  Scenario s(std::move(p));
+  s.build();
+  s.start();
+  s.run(s.params().duration);
+  BackpressureOutcome bp;
+  bp.out.quiescence = s.drainQuiescent();
+  bp.out.result = s.collect();
+  bp.out.oracle = harness::checkExactlyOnceInOrder(s, bp.out.result);
+  bp.out.resultFingerprint = fingerprintResult(bp.out.result);
+  bp.out.trace = harness::traceJsonl(s);
+  bp.blockEdges = s.flowControl()->stats().blockEdges;
+  return bp;
+}
+
+TEST(GoldenFingerprint, InputPressureBackpressure) {
+  const BackpressureOutcome bp = runBackpressure(backpressureParams());
+  EXPECT_EQ(bp.out.result.flow.pauses, 56u);
+  EXPECT_EQ(bp.out.result.flow.resumes, 56u);
+  EXPECT_EQ(bp.blockEdges, 0u);
+  EXPECT_TRUE(bp.out.oracle.ok) << bp.out.oracle.summary();
+  EXPECT_TRUE(bp.out.quiescence.clean);
+  EXPECT_LE(bp.out.quiescence.at, 9500 * kMillisecond);
+  expectPins(bp.out, 0x21001153be8c6ce1ULL, 0xc1ad36ca9273c665ULL);
+}
+
+TEST(GoldenFingerprint, OutputGateBackpressure) {
+  ScenarioParams p = backpressureParams();
+  p.flow.outputPauseBacklog = 32;
+  const BackpressureOutcome bp = runBackpressure(p);
+  EXPECT_EQ(bp.blockEdges, 75u);
+  EXPECT_EQ(bp.out.result.flow.pauses, 75u);
+  EXPECT_EQ(bp.out.result.flow.resumes, 75u);
+  EXPECT_TRUE(bp.out.oracle.ok) << bp.out.oracle.summary();
+  EXPECT_TRUE(bp.out.quiescence.clean);
+  expectPins(bp.out, 0x497d67696d0f8233ULL, 0x492ffeee22159680ULL);
 }
 
 }  // namespace
