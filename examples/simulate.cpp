@@ -56,7 +56,8 @@ int main(int argc, char** argv) {
   p.checkpointInterval = fromMillis(config.getDouble("checkpoint_ms", 50));
   p.heartbeatInterval = fromMillis(config.getDouble("heartbeat_ms", 100));
   p.checkpointKind = parseCkpt(config.getString("ckpt", "sweeping"));
-  p.shedThreshold = static_cast<std::size_t>(config.getInt("shed", 0));
+  p.flow.shedThreshold = static_cast<std::size_t>(config.getInt("shed", 0));
+  p.flow.enabled = p.flow.shedThreshold != 0;
   p.sharedSecondary = config.getBool("shared", false);
   p.duration = fromSeconds(config.getDouble("duration", 20));
   p.warmup = fromSeconds(config.getDouble("warmup", 2));

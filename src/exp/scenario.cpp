@@ -162,10 +162,7 @@ void Scenario::build() {
   if (wantArq && !cluster_->network().reliableEnabled()) {
     ReliableParams arq;
     arq.retryTimeout = Runtime::kRetransmitTimeout;
-    if (params_.flow.enabled) {
-      arq.sendWindow = params_.flow.sendWindow;
-      arq.parkedCap = params_.flow.parkedCap;
-    }
+    if (params_.flow.enabled) arq.sendWindow = params_.flow.sendWindow;
     cluster_->network().enableReliable(arq);
   }
 
@@ -267,19 +264,9 @@ void Scenario::build() {
     }
   }
 
-  // Applied after coordinators so pre-deployed standby copies shed too.
-  // (Copies a coordinator instantiates mid-run start unshedded.)
-  if (params_.shedThreshold != 0) {
-    for (const auto& inst : runtime_->allInstances()) {
-      for (std::size_t i = 0; i < inst->peCount(); ++i) {
-        inst->pe(i).input().setShedThreshold(params_.shedThreshold);
-      }
-    }
-  }
-
-  // Flow control adopts every instance (and, via the runtime's instance
-  // listener, every copy instantiated later) after the coordinators exist,
-  // mirroring the shed-threshold ordering above.
+  // Flow control adopts every instance after the coordinators exist, so
+  // pre-deployed standby copies are covered, and every copy instantiated
+  // later via the runtime's instance listener.
   if (params_.flow.enabled) {
     flow_ = std::make_unique<flow::FlowControl>(*runtime_, params_.flow);
     flow_->adoptAll();

@@ -6,18 +6,12 @@
 
 namespace streamha::flow {
 
+namespace {
+constexpr std::size_t kCreditBytes = 32;  ///< Pause/resume credit wire size.
+}  // namespace
+
 FlowControl::FlowControl(Runtime& rt, FlowParams params)
     : rt_(rt), params_(params) {}
-
-std::size_t FlowControl::resumeAt() const {
-  return params_.resumeThreshold != 0 ? params_.resumeThreshold
-                                      : params_.pauseThreshold / 2;
-}
-
-std::size_t FlowControl::outputResumeAt() const {
-  return params_.outputResumeBacklog != 0 ? params_.outputResumeBacklog
-                                          : params_.outputPauseBacklog / 2;
-}
 
 void FlowControl::adoptAll() {
   rt_.setInstanceListener([this](Subjob& instance) { adopt(instance); });
@@ -28,7 +22,7 @@ void FlowControl::adoptAll() {
     // backlog as overload pressure directly (the last hop of propagation).
     const MachineId m = src->machineId();
     src->output().setBackpressure(
-        params_.outputPauseBacklog, outputResumeAt(),
+        params_.outputPauseBacklog, params_.outputPauseBacklog / 2,
         [this, m](bool blocked) {
           if (blocked) ++stats_.blockEdges;
           onPressure(m, blocked);
@@ -43,15 +37,14 @@ void FlowControl::adopt(Subjob& instance) {
     PeInstance& pe = instance.pe(i);
     if (params_.shedThreshold != 0) {
       pe.input().setShedThreshold(params_.shedThreshold);
-      if (params_.accountShedding) {
-        pe.input().setShedListener(
-            [this, machine, subjob](StreamId stream, ElementSeq seq) {
-              onShed(machine, subjob, stream, seq);
-            });
-      }
+      pe.input().setShedListener(
+          [this, machine, subjob](StreamId stream, ElementSeq seq) {
+            onShed(machine, subjob, stream, seq);
+          });
     }
     if (params_.pauseThreshold != 0) {
-      pe.input().setPressure(params_.pauseThreshold, resumeAt(),
+      pe.input().setPressure(params_.pauseThreshold,
+                             params_.pauseThreshold / 2,
                              [this, machine](bool overloaded) {
                                if (overloaded) ++stats_.overloadEdges;
                                onPressure(machine, overloaded);
@@ -61,7 +54,7 @@ void FlowControl::adopt(Subjob& instance) {
       PeInstance* pePtr = &pe;
       for (std::size_t port = 0; port < pe.portCount(); ++port) {
         pe.output(port).setBackpressure(
-            params_.outputPauseBacklog, outputResumeAt(),
+            params_.outputPauseBacklog, params_.outputPauseBacklog / 2,
             [this, pePtr](bool blocked) {
               if (blocked) {
                 ++stats_.blockEdges;
@@ -115,9 +108,9 @@ void FlowControl::sendCredit(MachineId from, bool pause) {
   // source keeps only the latest decision anyway, by credit sequence).
   const std::uint64_t key =
       (1ULL << 62) | static_cast<std::uint32_t>(from);
-  net.sendReliableKeyed(from, src->machineId(), MsgKind::kControl,
-                        params_.creditBytes, 0, key,
-                        [src, seq, pause] { src->flowCredit(seq, pause); });
+  net.sendReliable(
+      from, src->machineId(), MsgKind::kControl, kCreditBytes, 0,
+      [src, seq, pause] { src->flowCredit(seq, pause); }, key);
 }
 
 void FlowControl::onShed(MachineId machine, SubjobId subjob, StreamId stream,
@@ -178,10 +171,6 @@ void FlowControl::flushShedIntervals() {
 
 bool FlowControl::sourcePaused() const {
   return rt_.source() != nullptr && rt_.source()->flowPaused();
-}
-
-std::function<bool()> FlowControl::migrationVeto() {
-  return [this] { return overloaded_ > 0 || sourcePaused(); };
 }
 
 }  // namespace streamha::flow

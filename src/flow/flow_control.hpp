@@ -24,15 +24,14 @@
 // HA interplay: Subjob::releaseFlowPressure()/pokeFlowPressure() keep the
 // overload flags honest across switchover, rollback and promotion (a dormant
 // copy's backlog must not pin the source paused; an activated standby's
-// backlog must throttle it). The scheduler consults migrationVeto() so load
-// samples taken under a paused source do not trigger spurious migrations.
+// backlog must throttle it).
 //
-// Everything is off by default: a default-constructed FlowParams arms
-// nothing, and fault-free runs stay bit-identical.
+// Each pressure signal clears at half its threshold. Everything is off by
+// default: a default-constructed FlowParams arms nothing, and fault-free
+// runs stay bit-identical.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <tuple>
 
@@ -47,24 +46,17 @@ namespace flow {
 
 struct FlowParams {
   bool enabled = false;  ///< Master switch; false arms nothing at all.
-  /// ARQ send window / backlog cap, forwarded into ReliableParams by the
-  /// scenario harness (see net/reliable.hpp).
+  /// ARQ send window, forwarded into ReliableParams by the scenario harness
+  /// (see net/reliable.hpp).
   std::size_t sendWindow = 0;
-  std::size_t parkedCap = 4096;
   /// PE input-queue depth that raises overload (0 = input pressure off).
   std::size_t pauseThreshold = 0;
-  /// Depth that clears it again (0 = pauseThreshold / 2).
-  std::size_t resumeThreshold = 0;
   /// Producer unacked-backlog that blocks the PE emit path (0 = off).
   std::size_t outputPauseBacklog = 0;
-  /// Backlog that unblocks it again (0 = outputPauseBacklog / 2).
-  std::size_t outputResumeBacklog = 0;
-  std::size_t creditBytes = 32;  ///< Pause/resume credit wire size.
-  /// Shed threshold applied to every adopted input queue (0 = no shedding).
-  /// Unlike ScenarioParams::shedThreshold this also covers copies
-  /// instantiated mid-run, via the runtime's instance listener.
+  /// Shed threshold applied to every adopted input queue, copies
+  /// instantiated mid-run included (0 = no shedding). Every shed element is
+  /// accounted into a shed interval.
   std::size_t shedThreshold = 0;
-  bool accountShedding = true;  ///< Record shed intervals into the trace.
 };
 
 struct FlowStats {
@@ -93,19 +85,11 @@ class FlowControl {
   const FlowStats& stats() const { return stats_; }
   const FlowParams& params() const { return params_; }
 
-  /// Scheduler interplay: migrations are deferred while this returns true.
-  /// Load sampled under a paused source undercounts steady-state demand, so
-  /// acting on it would migrate the wrong subjob (the ROADMAP
-  /// "scheduler/backpressure interplay" item).
-  std::function<bool()> migrationVeto();
-
  private:
   void onPressure(MachineId atMachine, bool overloaded);
   void sendCredit(MachineId from, bool pause);
   void onShed(MachineId machine, SubjobId subjob, StreamId stream,
               ElementSeq seq);
-  std::size_t resumeAt() const;
-  std::size_t outputResumeAt() const;
 
   struct OpenInterval {
     ElementSeq first = 0;

@@ -44,23 +44,14 @@ Network::Network(Simulator& sim, Params params,
 Network::~Network() = default;
 
 void Network::enableReliable(const ReliableParams& params) {
+  assert(reliable_ == nullptr);
   reliable_ = std::make_unique<ReliableDelivery>(sim_, *this, params);
 }
 
 void Network::sendReliable(MachineId src, MachineId dst, MsgKind kind,
                            std::size_t bytes, std::uint64_t elements,
-                           std::function<void()> deliver) {
-  if (reliable_) {
-    reliable_->send(src, dst, kind, bytes, elements, std::move(deliver));
-  } else {
-    send(src, dst, kind, bytes, elements, std::move(deliver));
-  }
-}
-
-void Network::sendReliableKeyed(MachineId src, MachineId dst, MsgKind kind,
-                                std::size_t bytes, std::uint64_t elements,
-                                std::uint64_t supersedeKey,
-                                std::function<void()> deliver) {
+                           std::function<void()> deliver,
+                           std::uint64_t supersedeKey) {
   if (reliable_) {
     reliable_->send(src, dst, kind, bytes, elements, std::move(deliver),
                     supersedeKey);

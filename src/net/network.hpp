@@ -34,17 +34,20 @@ class ReliableDelivery;
 struct ReliableParams {
   SimDuration retryTimeout = 250 * kMillisecond;  ///< Base retry; doubles.
   int maxBackoffShift = 4;                        ///< Cap retries at 16x base.
-  std::size_t headerBytes = 16;  ///< Sequence-id header per reliable message.
-  std::size_t ackBytes = 24;     ///< ARQ-ack wire size (rides kControl).
-  /// Per-link send window (flow/credit.hpp): cap on transmitted-but-unacked
-  /// reliable messages; excess sends are parked FIFO until a credit frees.
-  /// 0 = unlimited (the pre-flow-control behavior).
+  /// Per-link send window: cap on transmitted-but-unacked reliable messages;
+  /// excess sends are parked FIFO until an ack frees a slot. 0 = unlimited
+  /// (the pre-flow-control behavior).
   std::size_t sendWindow = 0;
   /// Cap on a link's tracked backlog beyond the window -- window-full parking
   /// and the receiver-death backlog alike. Beyond it the oldest entry is
-  /// evicted and counted in stats().parkedEvicted. 0 = unbounded.
+  /// dropped and counted in stats().parkedEvicted. 0 = unbounded.
   std::size_t parkedCap = 4096;
 };
+
+/// Sequence-id header on every reliable message.
+inline constexpr std::size_t kArqHeaderBytes = 16;
+/// ARQ-ack wire size (rides kControl).
+inline constexpr std::size_t kArqAckBytes = 24;
 
 /// Classification of every message the protocols exchange.
 enum class MsgKind : std::uint8_t {
@@ -144,24 +147,19 @@ class Network {
   /// plain send() while the ARQ layer is unarmed, so fault-free runs carry
   /// zero ARQ traffic. Control-plane protocols (checkpoint ship/confirm,
   /// deploy/rewire round-trips, NACKs, state reads) use this entry point.
+  /// A nonzero `supersedeKey` drops any earlier unacked same-key message on
+  /// the same link (it downgrades to at-most-once -- use only for idempotent
+  /// control traffic a newer message subsumes, e.g. an older gap request for
+  /// the same wire).
   void sendReliable(MachineId src, MachineId dst, MsgKind kind,
                     std::size_t bytes, std::uint64_t elements,
-                    std::function<void()> deliver);
+                    std::function<void()> deliver,
+                    std::uint64_t supersedeKey = 0);
 
-  /// sendReliable with a supersede key: a nonzero key evicts any earlier
-  /// unacked same-key message on the same link from the retransmit queue
-  /// (the evicted message downgrades to at-most-once -- use only for
-  /// idempotent control traffic a newer message subsumes, e.g. an older gap
-  /// request for the same wire). Falls through to plain send() when unarmed,
-  /// exactly like sendReliable.
-  void sendReliableKeyed(MachineId src, MachineId dst, MsgKind kind,
-                         std::size_t bytes, std::uint64_t elements,
-                         std::uint64_t supersedeKey,
-                         std::function<void()> deliver);
-
-  /// Arm the control-plane ARQ layer. Scenario::build() calls this whenever a
-  /// fault schedule is present; idempotent (re-arming replaces the params but
-  /// keeps in-flight state only if never armed before -- arm once, early).
+  /// Arm the control-plane ARQ layer. Arm once, before the first reliable
+  /// send: retry timers and in-flight sends hold on to the layer, so it is
+  /// never replaced. Scenario::build() calls this whenever a fault schedule
+  /// or a flow send window is present.
   void enableReliable(const ReliableParams& params);
   bool reliableEnabled() const { return reliable_ != nullptr; }
   ReliableDelivery* reliable() const { return reliable_.get(); }

@@ -13,11 +13,7 @@ std::uint64_t linkKey(MachineId src, MachineId dst) {
 
 ReliableDelivery::ReliableDelivery(Simulator& sim, Network& net,
                                    ReliableParams params)
-    : sim_(sim),
-      net_(net),
-      params_(params),
-      credit_(flow::CreditManager::Params{params.sendWindow,
-                                          params.parkedCap}) {}
+    : sim_(sim), net_(net), params_(params) {}
 
 void ReliableDelivery::send(MachineId src, MachineId dst, MsgKind kind,
                             std::size_t bytes, std::uint64_t elements,
@@ -29,59 +25,94 @@ void ReliableDelivery::send(MachineId src, MachineId dst, MsgKind kind,
     return;
   }
   const std::uint64_t link = linkKey(src, dst);
-  if (params_.sendWindow == 0 && params_.parkedCap != 0 &&
-      !net_.machineUp(dst)) {
-    // Unlimited window, dead receiver: the parked backlog is all this link
-    // holds, so the cap applies to it directly (the satellite fix for the
-    // unbounded receiver-death backlog).
-    const std::uint64_t oldest = credit_.evictOldestIfAtCap(link);
-    if (oldest != 0) {
-      ++stats_.parkedEvicted;
-      evict(oldest);
-    }
+  std::deque<std::uint64_t>& queue = ledger_[link];
+  const std::size_t window = params_.sendWindow;
+  const std::size_t cap = params_.parkedCap;
+  if (window == 0 && cap != 0 && !net_.machineUp(dst) &&
+      queue.size() >= cap) {
+    // Unlimited window, dead receiver: the cap bounds the link's whole
+    // backlog, oldest first.
+    ++stats_.parkedEvicted;
+    drop(link, queue.front());
   }
   const std::uint64_t id = next_id_++;
-  Pending p;
-  p.src = src;
-  p.dst = dst;
-  p.kind = kind;
-  p.bytes = bytes;
-  p.elements = elements;
-  p.deliver = std::move(deliver);
-  pending_.emplace(id, std::move(p));
+  pending_.emplace(id, Pending{src, dst, kind, bytes, elements,
+                               std::move(deliver), supersedeKey});
   ++stats_.accepted;
 
-  const flow::CreditManager::Admission adm =
-      credit_.admit(link, id, supersedeKey);
-  for (std::uint64_t old : adm.superseded) {
-    ++stats_.superseded;
-    evict(old);
+  // A link holds at most one unacked message per key: admitting a key drops
+  // the previous holder. If it was on the wire, the oldest parked entry
+  // moves up -- transmitted below, ahead of the new message.
+  std::uint64_t movedUp = 0;
+  if (supersedeKey != 0) {
+    const auto same = std::find_if(
+        queue.begin(), queue.end(), [this, supersedeKey](std::uint64_t other) {
+          return pending_.at(other).supersedeKey == supersedeKey;
+        });
+    if (same != queue.end()) {
+      ++stats_.superseded;
+      movedUp = drop(link, *same);
+    }
   }
-  for (std::uint64_t old : adm.overflowed) {
-    ++stats_.parkedEvicted;
-    evict(old);
-  }
-  for (std::uint64_t next : adm.unparked) {
-    ++stats_.unparked;
-    transmit(next);
-  }
-  if (adm.grant) {
-    transmit(id);
-  } else {
+
+  const bool onWire = window == 0 || queue.size() < window;
+  if (!onWire) {
+    if (cap != 0 && queue.size() - window >= cap) {
+      ++stats_.parkedEvicted;
+      drop(link, queue[window]);  // The oldest parked entry.
+    }
     ++stats_.parked;
+  }
+  queue.push_back(id);
+  peak_tracked_ = std::max(peak_tracked_, pending_.size());
+
+  if (movedUp != 0) {
+    ++stats_.unparked;
+    transmit(movedUp);
+  }
+  if (onWire) transmit(id);
+}
+
+std::size_t ReliableDelivery::parkedCount() const {
+  const std::size_t window = params_.sendWindow;
+  std::size_t parked = 0;
+  for (const auto& [link, queue] : ledger_) {
+    if (window != 0 && queue.size() > window) parked += queue.size() - window;
+  }
+  return parked;
+}
+
+std::uint64_t ReliableDelivery::drop(std::uint64_t link, std::uint64_t id) {
+  pending_.erase(id);
+  std::deque<std::uint64_t>& queue = ledger_[link];
+  const auto at = std::find(queue.begin(), queue.end(), id);
+  if (at == queue.end()) return 0;
+  const auto index = static_cast<std::size_t>(at - queue.begin());
+  queue.erase(at);
+  const std::size_t window = params_.sendWindow;
+  // A freed slot on the wire goes to the first parked entry.
+  if (window != 0 && index < window && queue.size() >= window) {
+    return queue[window - 1];
+  }
+  return 0;
+}
+
+void ReliableDelivery::retire(std::uint64_t link, std::uint64_t id) {
+  const std::uint64_t movedUp = drop(link, id);
+  if (movedUp != 0) {
+    ++stats_.unparked;
+    transmit(movedUp);
   }
 }
 
 void ReliableDelivery::transmit(std::uint64_t id) {
   auto it = pending_.find(id);
-  if (it == pending_.end()) return;  // Acked or evicted while timer armed.
+  if (it == pending_.end()) return;  // Acked or dropped while timer armed.
   Pending& p = it->second;
   if (!net_.machineUp(p.src)) {
     // The sending process died with its machine; nothing left to retry.
     ++stats_.abandoned;
-    const std::uint64_t link = linkKey(p.src, p.dst);
-    pending_.erase(it);
-    releaseAndRefill(link, id);
+    retire(linkKey(p.src, p.dst), id);
     return;
   }
   ++p.attempts;
@@ -89,7 +120,7 @@ void ReliableDelivery::transmit(std::uint64_t id) {
     if (p.attempts > 1) ++stats_.retransmits;
     const MachineId src = p.src;
     const MachineId dst = p.dst;
-    net_.send(src, dst, p.kind, p.bytes + params_.headerBytes, p.elements,
+    net_.send(src, dst, p.kind, p.bytes + kArqHeaderBytes, p.elements,
               [this, id, src, dst] { onDelivered(id, src, dst); });
   }
   // Receiver down: skip the wasted copy (the network would drop it at
@@ -120,29 +151,14 @@ void ReliableDelivery::onDelivered(std::uint64_t id, MachineId src,
     ++stats_.duplicatesSuppressed;
   }
   ++stats_.acksSent;
-  net_.send(dst, src, MsgKind::kControl, params_.ackBytes, 0,
+  net_.send(dst, src, MsgKind::kControl, kArqAckBytes, 0,
             [this, id] { onAcked(id); });
 }
 
 void ReliableDelivery::onAcked(std::uint64_t id) {
   auto it = pending_.find(id);
-  if (it == pending_.end()) return;  // Already evicted or a duplicate ack.
-  const std::uint64_t link = linkKey(it->second.src, it->second.dst);
-  pending_.erase(it);
-  releaseAndRefill(link, id);
-}
-
-void ReliableDelivery::evict(std::uint64_t id) {
-  // The credit manager already forgot the id; dropping the payload is all
-  // that is left. A timer still armed for it finds nothing and no-ops.
-  pending_.erase(id);
-}
-
-void ReliableDelivery::releaseAndRefill(std::uint64_t link, std::uint64_t id) {
-  for (std::uint64_t next : credit_.release(link, id)) {
-    ++stats_.unparked;
-    transmit(next);
-  }
+  if (it == pending_.end()) return;  // Already dropped or a duplicate ack.
+  retire(linkKey(it->second.src, it->second.dst), id);
 }
 
 }  // namespace streamha

@@ -16,14 +16,18 @@
 //  * receiver machine down -> skip the wasted transmission but keep the
 //    timer armed, so delivery resumes when the machine restarts.
 //
-// Admission rides the per-link CreditManager (flow/credit.hpp): a finite
-// send window caps transmitted-but-unacked messages per link (excess sends
-// are parked, granted FIFO as acks free credits), the parked backlog -- and
-// the receiver-death backlog when the window is unlimited -- is capped with
-// oldest-first eviction, and a send carrying a supersede key evicts any
-// earlier unacked message with the same key from the retransmit queue (an
-// evicted message downgrades to at-most-once: safe only for idempotent
-// control traffic that a newer message subsumes, e.g. gap requests).
+// Each link keeps one ledger: its tracked (unacked) ids in admission order.
+// The first `sendWindow` entries are on the wire, the rest are parked (all of
+// them are on the wire when the window is 0). Parked entries only ever move
+// up oldest-first, as an entry ahead of them leaves, so the window is just a
+// position in that queue. Two caps bound it: with a finite window, at most
+// `parkedCap` parked entries (the oldest parked one is dropped first); with
+// an unlimited window and the receiver down, at most `parkedCap` entries in
+// all (the oldest is dropped). A send carrying a supersede key drops any
+// earlier unacked same-key message on the link, parked or on the wire (the
+// dropped message downgrades to at-most-once: safe only for idempotent
+// control traffic that a newer message subsumes, e.g. gap requests). Ack,
+// abandon, supersede and both caps leave the ledger through one step.
 //
 // The layer is off by default (Network::sendReliable falls through to plain
 // send()), so fault-free runs carry zero ARQ traffic and stay bit-identical
@@ -32,12 +36,12 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "flow/credit.hpp"
 #include "net/network.hpp"
 
 namespace streamha {
@@ -51,9 +55,9 @@ class ReliableDelivery {
     std::uint64_t duplicatesSuppressed = 0;  ///< Copies dropped at receivers.
     std::uint64_t abandoned = 0;    ///< Given up because the sender died.
     std::uint64_t parked = 0;       ///< Sends parked on a full window.
-    std::uint64_t unparked = 0;     ///< Parked sends later granted a credit.
-    std::uint64_t parkedEvicted = 0;  ///< Evicted by the backlog cap.
-    std::uint64_t superseded = 0;     ///< Evicted by a same-key newer send.
+    std::uint64_t unparked = 0;     ///< Parked sends later moved onto the wire.
+    std::uint64_t parkedEvicted = 0;  ///< Dropped by a backlog cap.
+    std::uint64_t superseded = 0;     ///< Dropped by a same-key newer send.
   };
 
   ReliableDelivery(Simulator& sim, Network& net, ReliableParams params);
@@ -62,7 +66,7 @@ class ReliableDelivery {
   /// until the receiver's ack lands, duplicate copies suppressed. `deliver`
   /// runs at most once, at `dst`, the first time any copy arrives while the
   /// machine is up. Loopback falls through to plain send (it is lossless).
-  /// `supersedeKey` != 0 evicts any earlier unacked same-key message on this
+  /// `supersedeKey` != 0 drops any earlier unacked same-key message on this
   /// link (see the header comment for when that downgrade is safe).
   void send(MachineId src, MachineId dst, MsgKind kind, std::size_t bytes,
             std::uint64_t elements, std::function<void()> deliver,
@@ -70,13 +74,13 @@ class ReliableDelivery {
 
   const Stats& stats() const { return stats_; }
   const ReliableParams& params() const { return params_; }
-  /// Messages currently tracked -- in flight or parked awaiting a credit
-  /// (for tests / leak checks).
+  /// Messages currently tracked -- on the wire or parked (for tests / leak
+  /// checks).
   std::size_t inFlight() const { return pending_.size(); }
-  /// Messages parked on a full send window (never yet transmitted).
-  std::size_t parkedCount() const { return credit_.parkedTotal(); }
-  /// High-water mark of tracked (in-flight + parked) messages.
-  std::size_t peakTracked() const { return credit_.peakTracked(); }
+  /// Messages parked behind a full send window (never yet transmitted).
+  std::size_t parkedCount() const;
+  /// High-water mark of tracked messages across all links.
+  std::size_t peakTracked() const { return peak_tracked_; }
 
  private:
   struct Pending {
@@ -86,6 +90,7 @@ class ReliableDelivery {
     std::size_t bytes = 0;
     std::uint64_t elements = 0;
     std::function<void()> deliver;
+    std::uint64_t supersedeKey = 0;
     int attempts = 0;  ///< Transmissions so far (drives the backoff shift).
   };
 
@@ -93,18 +98,25 @@ class ReliableDelivery {
   void armTimer(std::uint64_t id);
   void onDelivered(std::uint64_t id, MachineId src, MachineId dst);
   void onAcked(std::uint64_t id);
-  void evict(std::uint64_t id);
-  void releaseAndRefill(std::uint64_t link, std::uint64_t id);
+  /// Drop `id` (acked or abandoned) and transmit the parked entry that moved
+  /// onto the wire in its place, if any.
+  void retire(std::uint64_t link, std::uint64_t id);
+  /// Erase `id`'s payload and its ledger entry. Returns the parked entry that
+  /// moved onto the wire in its place, or 0.
+  std::uint64_t drop(std::uint64_t link, std::uint64_t id);
 
   Simulator& sim_;
   Network& net_;
   ReliableParams params_;
   Stats stats_;
-  flow::CreditManager credit_;
   std::uint64_t next_id_ = 1;
   /// Unacked messages, by id. std::map: deterministic iteration not needed
   /// (lookups only), but keeps debugging output ordered.
   std::map<std::uint64_t, Pending> pending_;
+  /// Per ordered (src, dst) link: its tracked ids in admission order; the
+  /// first sendWindow are on the wire (all of them with a window of 0).
+  std::map<std::uint64_t, std::deque<std::uint64_t>> ledger_;
+  std::size_t peak_tracked_ = 0;
   /// Receiver-side duplicate suppression: ids already delivered, per ordered
   /// (src, dst) link. Only ever grows; bounded by the number of reliable
   /// sends in a run, which is fine for simulation lifetimes.

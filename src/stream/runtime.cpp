@@ -284,10 +284,9 @@ void Runtime::createWire(const Wire& plan, WireOpts opts) {
       const SimTime now = net->now();
       if (*lastNack >= 0 && now - *lastNack < kNackMinGap) return;
       *lastNack = now;
-      net->sendReliableKeyed(dstMachine, srcMachine, MsgKind::kControl,
-                             kNackBytes, 0, nackKey, [oq, connId, fromSeq] {
-                               oq->nack(connId, fromSeq);
-                             });
+      net->sendReliable(
+          dstMachine, srcMachine, MsgKind::kControl, kNackBytes, 0,
+          [oq, connId, fromSeq] { oq->nack(connId, fromSeq); }, nackKey);
     };
   }
   auto wire = std::make_unique<Wire>(plan);

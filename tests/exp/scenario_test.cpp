@@ -112,7 +112,8 @@ TEST(Scenario, LoadSheddingBoundsDelayAtTheCostOfLoss) {
   base.seed = 12;
 
   ScenarioParams shed = base;
-  shed.shedThreshold = 100;
+  shed.flow.enabled = true;
+  shed.flow.shedThreshold = 100;
 
   Scenario a(base);
   const auto ra = a.runAll();
