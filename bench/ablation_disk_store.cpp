@@ -143,7 +143,7 @@ int main() {
     ha.heartbeat.missThreshold = 3;
     ha.store.persistToDisk = disk;
     // ~5 MB/s effective checkpoint disk: the HDD preset's checkpoint
-    // bandwidth (common/config.hpp), shared with the tiered backend.
+    // bandwidth (state/tier.hpp), shared with the tiered backend.
     ha.store.diskBytesPerMicro = kTierHdd.checkpointBytesPerMicro;
     PassiveStandbyCoordinator ps(rt, 2, ha);
     ps.setup();

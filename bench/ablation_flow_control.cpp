@@ -46,7 +46,6 @@ WindowResult runWindow(std::size_t window,
     p.protectedSubjobs = {1, 2, 3};
     p.duration = 20 * kSecond;
     p.seed = seed;
-    p.flow.enabled = true;
     p.flow.sendWindow = window;
 
     // Partition a protected primary from its standby for 6s: the 50ms

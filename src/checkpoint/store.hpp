@@ -48,7 +48,7 @@ class StateStore {
     /// memory-only (the Hybrid default).
     bool persistToDisk = false;
     /// Sequential-disk bandwidth; defaults to the HDD preset
-    /// (common/config.hpp) so the bench and the store agree on the number.
+    /// (state/tier.hpp) so the bench and the store agree on the number.
     double diskBytesPerMicro = kTierHdd.bytesPerMicro;
     /// Delta-checkpoint shipping (state/delta.hpp). Off by default.
     DeltaParams delta;

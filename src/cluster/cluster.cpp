@@ -9,8 +9,7 @@ Cluster::Cluster(Params params) : params_(params), root_rng_(params.seed) {
   for (std::size_t i = 0; i < params_.machineCount; ++i) {
     const auto id = static_cast<MachineId>(i);
     machines_.push_back(std::make_unique<Machine>(
-        sim_, id, root_rng_.fork(0x4D41434800ULL + i), params_.machine));
-    machines_.back()->setDomainLabel(params_.topology.labelOf(id));
+        sim_, id, root_rng_.fork(0x4D41434800ULL + i)));
   }
   network_ = std::make_unique<Network>(
       sim_, params_.network,

@@ -21,11 +21,9 @@ class Cluster {
   struct Params {
     std::size_t machineCount = 4;
     std::uint64_t seed = 1;
-    Machine::Params machine;
     Network::Params network;
-    /// Failure-domain nesting (rack/power/zone). Disabled by default; when
-    /// enabled every machine gets a DomainLabel at construction (pure
-    /// arithmetic, no RNG -- existing runs stay bit-identical).
+    /// Failure-domain nesting (rack/power/zone). Disabled by default; a
+    /// machine's label is `topology.labelOf(id)` (pure arithmetic, no RNG).
     DomainTopology topology;
   };
 
@@ -43,10 +41,6 @@ class Cluster {
   bool machineUp(MachineId id) const;
 
   const DomainTopology& topology() const { return params_.topology; }
-
-  /// The failure-domain label of a machine (all -1 when the topology is
-  /// disabled or the id is out of range).
-  DomainLabel domainOf(MachineId id) const { return params_.topology.labelOf(id); }
 
   /// Deterministic per-purpose RNG derived from the cluster seed.
   Rng forkRng(std::uint64_t salt) const { return root_rng_.fork(salt); }

@@ -120,22 +120,4 @@ void LoadGenerator::endSpike() {
   machine_.setBackgroundLoad(spec_.baseline);
 }
 
-double LoadGenerator::spikeTimeFraction(SimTime from, SimTime to) const {
-  if (to <= from) return 0.0;
-  SimDuration covered = 0;
-  for (const auto& [start, end] : spikes_) {
-    const SimTime lo = std::max(start, from);
-    const SimTime hi = std::min(end, to);
-    if (hi > lo) covered += hi - lo;
-  }
-  return static_cast<double>(covered) / static_cast<double>(to - from);
-}
-
-bool LoadGenerator::inSpikeAt(SimTime t) const {
-  for (const auto& [start, end] : spikes_) {
-    if (t >= start && t < end) return true;
-  }
-  return false;
-}
-
 }  // namespace streamha

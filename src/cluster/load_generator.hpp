@@ -72,12 +72,6 @@ class LoadGenerator {
     return spikes_;
   }
 
-  /// Fraction of [from, to) covered by spikes.
-  double spikeTimeFraction(SimTime from, SimTime to) const;
-
-  /// True if `t` falls inside any recorded spike window.
-  bool inSpikeAt(SimTime t) const;
-
  private:
   void scheduleNext();
   void beginSpike(SimDuration duration);

@@ -2,28 +2,6 @@
 
 namespace streamha {
 
-LoadTraceSampler::LoadTraceSampler(Simulator& sim, Machine& machine,
-                                   SimDuration interval)
-    : sim_(sim), machine_(machine), interval_(interval) {}
-
-LoadTraceSampler::~LoadTraceSampler() { stop(); }
-
-void LoadTraceSampler::start() {
-  if (running_) return;
-  running_ = true;
-  next_ = sim_.schedule(interval_, [this] {
-    if (!running_) return;
-    samples_.push_back(machine_.instantaneousLoad());
-    running_ = false;
-    start();
-  });
-}
-
-void LoadTraceSampler::stop() {
-  running_ = false;
-  next_.cancel();
-}
-
 SpikeTraceStats analyzeLoadTrace(const std::vector<double>& samples,
                                  double sampleIntervalSec, double threshold) {
   SpikeTraceStats stats;

@@ -1,4 +1,4 @@
-// CPU load sampling and spike extraction.
+// Spike extraction from a sampled CPU load trace.
 //
 // Mirrors the paper's measurement methodology (Section II-B): "A sample of
 // CPU load was taken every 0.25 s and the measurement continued for 24 hours.
@@ -8,35 +8,7 @@
 
 #include <vector>
 
-#include "cluster/machine.hpp"
-#include "common/types.hpp"
-#include "sim/simulator.hpp"
-
 namespace streamha {
-
-/// Periodically samples a machine's instantaneous load.
-class LoadTraceSampler {
- public:
-  LoadTraceSampler(Simulator& sim, Machine& machine,
-                   SimDuration interval = 250 * kMillisecond);
-  ~LoadTraceSampler();
-  LoadTraceSampler(const LoadTraceSampler&) = delete;
-  LoadTraceSampler& operator=(const LoadTraceSampler&) = delete;
-
-  void start();
-  void stop();
-
-  SimDuration interval() const { return interval_; }
-  const std::vector<double>& samples() const { return samples_; }
-
- private:
-  Simulator& sim_;
-  Machine& machine_;
-  SimDuration interval_;
-  EventHandle next_;
-  bool running_ = false;
-  std::vector<double> samples_;
-};
 
 /// Per-machine spike statistics extracted from a load trace.
 struct SpikeTraceStats {

@@ -7,27 +7,38 @@
 #include "trace/recorder.hpp"
 
 namespace streamha {
+namespace {
 
-Machine::Machine(Simulator& sim, MachineId id, Rng rng, Params params)
-    : sim_(sim), id_(id), rng_(rng), params_(params), last_accrual_(sim.now()) {
-  busy_snapshots_.emplace_back(sim.now(), 0.0);
-}
+/// Floor on the application share during spikes. Models the multi-core
+/// headroom a real node keeps for the application even when a CPU hog drives
+/// total utilization to ~100% (the paper's nodes were 4-core).
+constexpr double kMinShare = 0.25;
+/// Scheduling-latency scale of the control server.
+constexpr SimDuration kCtlQuantum = 9 * kMillisecond;
+constexpr double kParkThreshold = 0.90;  ///< rho at/above which control parks.
+constexpr double kCtlAppWeight = 0.5;    ///< Weight of app busy fraction in rho.
+/// Window of recentBusyFraction().
+constexpr SimDuration kBusyWindow = 200 * kMillisecond;
+
+}  // namespace
 
 Machine::Machine(Simulator& sim, MachineId id, Rng rng)
-    : Machine(sim, id, rng, Params{}) {}
+    : sim_(sim), id_(id), rng_(rng), last_accrual_(sim.now()) {
+  busy_snapshots_.emplace_back(sim.now(), 0.0);
+}
 
 double Machine::effectiveBackground() const {
   return std::min(1.0, background_ + dilation_);
 }
 
 double Machine::appShare() const {
-  return std::max(params_.minShare, params_.capacity - effectiveBackground());
+  return std::max(kMinShare, 1.0 - effectiveBackground());
 }
 
 double Machine::instantaneousLoad() const {
   if (!up_) return 0.0;
   const double load = effectiveBackground() + (data_active_ ? appShare() : 0.0);
-  return std::min(params_.capacity, load);
+  return std::min(1.0, load);
 }
 
 void Machine::accrueIntegrals() {
@@ -54,7 +65,7 @@ void Machine::noteBusyTransition() {
   busy_snapshots_.emplace_back(sim_.now(), busy_integral_);
   // Retire snapshots much older than the window (keep one beyond the edge
   // so interpolation at the window boundary stays possible).
-  const SimTime horizon = sim_.now() - 4 * params_.busyWindow;
+  const SimTime horizon = sim_.now() - 4 * kBusyWindow;
   while (busy_snapshots_.size() > 2 && busy_snapshots_[1].first < horizon) {
     busy_snapshots_.pop_front();
   }
@@ -63,7 +74,7 @@ void Machine::noteBusyTransition() {
 double Machine::recentBusyFraction() const {
   const_cast<Machine*>(this)->accrueIntegrals();
   const SimTime now = sim_.now();
-  const SimTime start = std::max<SimTime>(0, now - params_.busyWindow);
+  const SimTime start = std::max<SimTime>(0, now - kBusyWindow);
   if (now <= start) return data_active_ ? 1.0 : 0.0;
   // Find the busy integral at `start` from snapshots. Between transitions the
   // busy indicator is constant, so linear interpolation between consecutive
@@ -149,14 +160,14 @@ void Machine::finishActiveData() {
 
 double Machine::controlRho() const {
   const double rho = effectiveBackground() +
-                     params_.ctlAppWeight * recentBusyFraction() * appShare();
+                     kCtlAppWeight * recentBusyFraction() * appShare();
   return std::clamp(rho, 0.0, 1.0);
 }
 
 void Machine::submitControl(double workUs, std::function<void()> done) {
   if (!up_) return;
   const double rho = controlRho();
-  if (rho >= params_.parkThreshold) {
+  if (rho >= kParkThreshold) {
     parked_.push_back(Parked{workUs, std::move(done)});
     return;
   }
@@ -166,7 +177,7 @@ void Machine::submitControl(double workUs, std::function<void()> done) {
 void Machine::dispatchControl(double workUs, std::function<void()> done) {
   const double rho = std::min(controlRho(), 0.98);
   const double mean_wait =
-      static_cast<double>(params_.ctlQuantum) * rho / (1.0 - rho);
+      static_cast<double>(kCtlQuantum) * rho / (1.0 - rho);
   const double wait = mean_wait > 0 ? rng_.exponential(mean_wait) : 0.0;
   const double service = workUs / appShare();
   const auto delay = static_cast<SimDuration>(std::ceil(wait + service));
@@ -175,7 +186,7 @@ void Machine::dispatchControl(double workUs, std::function<void()> done) {
 
 void Machine::releaseParked() {
   if (parked_.empty()) return;
-  if (controlRho() >= params_.parkThreshold) return;
+  if (controlRho() >= kParkThreshold) return;
   std::vector<Parked> ready;
   ready.swap(parked_);
   for (auto& task : ready) dispatchControl(task.workUs, std::move(task.done));

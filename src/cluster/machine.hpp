@@ -6,19 +6,22 @@
 //
 //  * The *data server* executes application work (PE element processing,
 //    checkpoint serialization, deployment, benchmark probes) from a FIFO
-//    queue at speed `appShare(t) = max(minShare, capacity - background(t))`.
+//    queue at speed `appShare(t) = max(kMinShare, 1 - background(t))`, with
+//    CPU capacity normalized to 1.
 //    Background load (the paper's CPU-hog transient-failure injector) changes
 //    the speed piecewise-constantly; the in-flight task is re-timed.
 //
 //  * The *control server* executes tiny control work (heartbeat replies).
 //    Its completion time models OS scheduling latency under contention:
 //    service = work / appShare  plus an exponential wait with mean
-//    `ctlQuantum * rho / (1 - rho)` where `rho` combines background load and
-//    (weighted) recent application busy fraction. When `rho` exceeds
-//    `parkThreshold` the machine is considered saturated and control tasks
+//    `kCtlQuantum * rho / (1 - rho)` where `rho` combines background load and
+//    (weighted) recent application busy fraction. When `rho` reaches
+//    `kParkThreshold` the machine is considered saturated and control tasks
 //    are *parked* until the background load drops — this is what makes a
 //    machine in the middle of a load spike miss heartbeats, exactly the
 //    signal the paper's detectors rely on.
+//
+// The model's constants live in machine.cpp.
 //
 // The split matches the testbed behaviour the paper reports: during a spike
 // the node is unresponsive; the moment the spike ends it answers heartbeats
@@ -34,7 +37,6 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
-#include "place/domain.hpp"
 #include "sim/simulator.hpp"
 
 namespace streamha {
@@ -43,30 +45,12 @@ class TraceRecorder;
 
 class Machine {
  public:
-  struct Params {
-    double capacity = 1.0;     ///< Normalized CPU capacity.
-    /// Floor on the application share during spikes. Models the multi-core
-    /// headroom a real node keeps for the application even when a CPU hog
-    /// drives total utilization to ~100% (the paper's nodes were 4-core).
-    double minShare = 0.25;
-    SimDuration ctlQuantum = 9 * kMillisecond;  ///< Scheduling-latency scale.
-    double parkThreshold = 0.90;  ///< rho at/above which control tasks park.
-    double ctlAppWeight = 0.5;    ///< Weight of app busy fraction in rho.
-    SimDuration busyWindow = 200 * kMillisecond;  ///< Window for busy fraction.
-  };
-
-  Machine(Simulator& sim, MachineId id, Rng rng, Params params);
   Machine(Simulator& sim, MachineId id, Rng rng);
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
 
   MachineId id() const { return id_; }
   Simulator& sim() { return sim_; }
-
-  /// Failure-domain coordinates (rack/power/zone), set by the Cluster at
-  /// construction. All -1 when the cluster has no topology configured.
-  void setDomainLabel(DomainLabel label) { domain_ = label; }
-  const DomainLabel& domainLabel() const { return domain_; }
 
   // -- Data server ----------------------------------------------------------
 
@@ -75,7 +59,6 @@ class Machine {
   void submitData(double workUs, std::function<void()> done);
 
   std::size_t dataQueueLength() const;  ///< Including the in-flight task.
-  bool dataBusy() const { return data_active_; }
 
   // -- Control server -------------------------------------------------------
 
@@ -101,7 +84,7 @@ class Machine {
   double appShare() const;
 
   /// Load as a very fine-grained probe would read it this instant:
-  /// background + (data server busy ? appShare : 0), clamped to capacity.
+  /// background + (data server busy ? appShare : 0), clamped to 1.
   double instantaneousLoad() const;
 
   /// Integral over time of instantaneousLoad(), in load-microseconds.
@@ -111,7 +94,7 @@ class Machine {
   /// Integral over time of the data server's busy indicator (microseconds).
   double busyIntegral() const;
 
-  /// Application busy fraction over roughly the last `busyWindow`.
+  /// Application busy fraction over roughly the last 200 ms.
   double recentBusyFraction() const;
 
   // -- Fail-stop ------------------------------------------------------------
@@ -156,8 +139,6 @@ class Machine {
   Simulator& sim_;
   MachineId id_;
   Rng rng_;
-  Params params_;
-  DomainLabel domain_;
 
   bool up_ = true;
   double background_ = 0.0;

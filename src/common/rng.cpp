@@ -98,17 +98,6 @@ bool Rng::chance(double probability) {
   return nextDouble() < probability;
 }
 
-std::size_t Rng::weightedIndex(const std::vector<double>& weights) {
-  double total = 0;
-  for (double w : weights) total += w;
-  double pick = nextDouble() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    pick -= weights[i];
-    if (pick < 0) return i;
-  }
-  return weights.empty() ? 0 : weights.size() - 1;
-}
-
 std::uint64_t stableHash(std::string_view text) {
   // FNV-1a 64-bit.
   std::uint64_t h = 0xCBF29CE484222325ULL;

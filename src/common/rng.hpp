@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 namespace streamha {
 
@@ -46,9 +45,6 @@ class Rng {
 
   /// Bernoulli trial.
   bool chance(double probability);
-
-  /// Pick an index in [0, weights.size()) proportionally to weights.
-  std::size_t weightedIndex(const std::vector<double>& weights);
 
  private:
   std::uint64_t s_[4];

@@ -66,9 +66,9 @@ void BenchmarkDetector::poll() {
     probe_in_flight_ = false;
     last_probe_done_ = sim_.now();
     const double measured = static_cast<double>(sim_.now() - started);
-    if (measured > params_.ratioThreshold * benchmarkUs()) {
-      ++detections_;
-      if (callbacks_.onDetection) callbacks_.onDetection(sim_.now());
+    if (measured > params_.ratioThreshold * benchmarkUs() &&
+        callbacks_.onDetection) {
+      callbacks_.onDetection(sim_.now());
     }
   });
 }

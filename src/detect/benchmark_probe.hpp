@@ -50,7 +50,6 @@ class BenchmarkDetector {
   double benchmarkUs() const;
 
   std::uint64_t probesRun() const { return probes_run_; }
-  std::uint64_t detectionsDeclared() const { return detections_; }
 
  private:
   void poll();
@@ -69,7 +68,6 @@ class BenchmarkDetector {
   double window_integral0_ = 0.0;
 
   std::uint64_t probes_run_ = 0;
-  std::uint64_t detections_ = 0;
 };
 
 }  // namespace streamha

@@ -55,7 +55,6 @@ void FailureDetector::declare(bool failed, std::uint64_t value,
     record(TraceEventType::kFailureConfirmed, value, aux);
     if (callbacks_.onFailure) callbacks_.onFailure(sim_.now());
   } else {
-    ++recoveries_declared_;
     record(TraceEventType::kFailureCleared, value, aux);
     if (callbacks_.onRecovery) callbacks_.onRecovery(sim_.now());
   }

@@ -63,12 +63,10 @@ class FailureDetector {
 
   /// True while the target is in a declared-failed state.
   bool failed() const { return failed_; }
-  MachineId targetId() const { return target_.id(); }
 
   std::uint64_t pingsSent() const { return pings_sent_; }
   std::uint64_t repliesReceived() const { return replies_received_; }
   std::uint64_t failuresDeclared() const { return failures_declared_; }
-  std::uint64_t recoveriesDeclared() const { return recoveries_declared_; }
 
   /// Times a suspicion level crossed the failure threshold upward (each one
   /// a failure declaration); 0 for detectors without a suspicion level.
@@ -100,7 +98,6 @@ class FailureDetector {
   std::uint64_t pings_sent_ = 0;
   std::uint64_t replies_received_ = 0;
   std::uint64_t failures_declared_ = 0;
-  std::uint64_t recoveries_declared_ = 0;
 };
 
 /// Constructs a detector watching `target` from `monitor`. HA coordinators

@@ -26,18 +26,19 @@ Scenario::~Scenario() {
 }
 
 MachineId Scenario::primaryMachineOf(SubjobId subjob) const {
-  return static_cast<MachineId>(subjob);
+  return layout_.primaryOf(subjob);
 }
 
 MachineId Scenario::standbyMachineOf(SubjobId subjob) const {
-  return subjob >= 0 && static_cast<std::size_t>(subjob) < standby_of_.size()
-             ? standby_of_[static_cast<std::size_t>(subjob)]
+  return subjob >= 0 &&
+                 static_cast<std::size_t>(subjob) < layout_.standbyOf.size()
+             ? layout_.standbyOf[static_cast<std::size_t>(subjob)]
              : kNoMachine;
 }
 
-MachineId Scenario::sinkMachine() const { return sink_machine_; }
+MachineId Scenario::sinkMachine() const { return layout_.sinkMachine; }
 
-std::size_t Scenario::machineCount() const { return machine_count_; }
+std::size_t Scenario::machineCount() const { return layout_.machineCount; }
 
 ScenarioLayout Scenario::layoutFor(const ScenarioParams& params) {
   ScenarioLayout layout;
@@ -104,16 +105,10 @@ ScenarioLayout Scenario::layoutFor(const ScenarioParams& params) {
 }
 
 void Scenario::build() {
-  const ScenarioLayout layout = layoutFor(params_);
-  const int numSubjobs = layout.numSubjobs;
-  standby_of_ = layout.standbyOf;
-  spare_of_ = layout.spareOf;
-  latent_machines_ = layout.latentMachines;
-  sink_machine_ = layout.sinkMachine;
-  machine_count_ = layout.machineCount;
+  layout_ = layoutFor(params_);
 
   Cluster::Params clusterParams;
-  clusterParams.machineCount = machine_count_;
+  clusterParams.machineCount = layout_.machineCount;
   clusterParams.seed = params_.seed;
   clusterParams.topology = params_.placement.topology;
   cluster_ = std::make_unique<Cluster>(clusterParams);
@@ -121,7 +116,7 @@ void Scenario::build() {
   if (params_.placement.enabled && params_.mode != HaMode::kNone) {
     planner_ = std::make_unique<PlacementPlanner>(
         *cluster_, params_.placement.topology, params_.placement.domainAware,
-        layout.poolMachines);
+        layout_.poolMachines);
     // Layout-time standby assignments count toward occupancy so runtime
     // choices spread away from them.
     for (SubjobId sj : params_.protectedSubjobs) {
@@ -154,21 +149,19 @@ void Scenario::build() {
   // Arm the control-plane ARQ layer when faults can lose messages OR when
   // flow control wants a bounded send window (checkpoint ship/confirm,
   // rewiring round-trips, NACKs, state reads and pause/resume credits all
-  // ride it). Fault-free flow-disabled runs never arm it, keeping their
-  // traffic and traces bit-identical to pre-ARQ builds.
-  const bool wantArq =
-      !params_.faults.empty() ||
-      (params_.flow.enabled && params_.flow.sendWindow > 0);
+  // ride it). Fault-free runs without a send window never arm it, keeping
+  // their traffic and traces bit-identical to pre-ARQ builds.
+  const bool wantArq = !params_.faults.empty() || params_.flow.sendWindow > 0;
   if (wantArq && !cluster_->network().reliableEnabled()) {
     ReliableParams arq;
     arq.retryTimeout = Runtime::kRetransmitTimeout;
-    if (params_.flow.enabled) arq.sendWindow = params_.flow.sendWindow;
+    arq.sendWindow = params_.flow.sendWindow;
     cluster_->network().enableReliable(arq);
   }
 
   JobSpec spec = JobBuilder::chain(
       params_.numPes, params_.pesPerSubjob, params_.peWorkUs,
-      params_.selectivity, params_.stateBytes, params_.payloadBytes);
+      params_.selectivity, params_.stateBytes);
   if (params_.stateKeyBytes > 0) {
     // Keyed state: each element dirties one key region, the workload shape
     // delta checkpointing is built for (see ScenarioParams::stateKeyBytes).
@@ -187,14 +180,13 @@ void Scenario::build() {
   Source::Params sourceParams;
   sourceParams.ratePerSec = params_.dataRatePerSec;
   sourceParams.pattern = params_.sourcePattern;
-  sourceParams.payloadBytes = params_.payloadBytes;
   sourceParams.shapeRatePerSec = params_.shapeRatePerSec;
   runtime_->addSource(0, sourceParams);
-  runtime_->addSink(sink_machine_);
+  runtime_->addSink(layout_.sinkMachine);
 
   std::vector<MachineId> placement;
-  for (int i = 0; i < numSubjobs; ++i) {
-    placement.push_back(static_cast<MachineId>(i));
+  for (int i = 0; i < layout_.numSubjobs; ++i) {
+    placement.push_back(layout_.primaryOf(i));
   }
   runtime_->deployPrimaries(placement);
 
@@ -203,17 +195,18 @@ void Scenario::build() {
 
   if (params_.membership.enabled) {
     MembershipService::Params mp;
-    mp.directory = sink_machine_;
+    mp.directory = layout_.sinkMachine;
     membership_ = std::make_unique<MembershipService>(*cluster_, mp);
 
     // Roster wiring. Pool eligibility: any member that is not a primary and
     // not the sink can host replacement copies -- the original pool machines
     // re-qualify on re-join, latent machines qualify once warmed up.
-    const MachineId firstNonPrimary = static_cast<MachineId>(numSubjobs);
+    const MachineId firstNonPrimary =
+        static_cast<MachineId>(layout_.numSubjobs);
     MembershipService::Listener listener;
     listener.onJoined = [this, firstNonPrimary](MachineId m) {
       if (planner_ == nullptr) return;
-      if (m < firstNonPrimary || m == sink_machine_) return;
+      if (m < firstNonPrimary || m == layout_.sinkMachine) return;
       planner_->addPoolMachine(m, /*warm=*/false);
     };
     listener.onWarmedUp = [this](MachineId m) {
@@ -232,10 +225,10 @@ void Scenario::build() {
 
     // Every static-layout machine is a founding member (silent registration,
     // already warm); latent machines wait for a churn join.
-    for (std::size_t m = 0; m < machine_count_; ++m) {
+    const std::vector<MachineId>& latent = layout_.latentMachines;
+    for (std::size_t m = 0; m < layout_.machineCount; ++m) {
       const MachineId id = static_cast<MachineId>(m);
-      if (std::find(latent_machines_.begin(), latent_machines_.end(), id) ==
-          latent_machines_.end()) {
+      if (std::find(latent.begin(), latent.end(), id) == latent.end()) {
         membership_->addFoundingMember(id);
       }
     }
@@ -267,17 +260,21 @@ void Scenario::build() {
   // Flow control adopts every instance after the coordinators exist, so
   // pre-deployed standby copies are covered, and every copy instantiated
   // later via the runtime's instance listener.
-  if (params_.flow.enabled) {
+  if (params_.flow.armed()) {
     flow_ = std::make_unique<flow::FlowControl>(*runtime_, params_.flow);
     flow_->adoptAll();
   }
 
   // Open a provisional measurement window so collect() works even when the
   // caller skips warmup() (e.g. exactness tests that must see every element).
+  openWindow();
+}
+
+void Scenario::openWindow() {
   window_start_ = cluster_->sim().now();
   traffic_baseline_ = cluster_->network().snapshot();
   load_integral_baseline_.clear();
-  for (std::size_t m = 0; m < machine_count_; ++m) {
+  for (std::size_t m = 0; m < layout_.machineCount; ++m) {
     load_integral_baseline_.push_back(
         cluster_->machine(static_cast<MachineId>(m)).loadIntegral());
   }
@@ -288,9 +285,8 @@ void Scenario::createCoordinators() {
   for (SubjobId sj : params_.protectedSubjobs) {
     HaParams ha;
     ha.standbyMachine = standbyMachineOf(sj);
-    ha.spareMachine = spare_of_[static_cast<std::size_t>(sj)];
+    ha.spareMachine = layout_.spareOf[static_cast<std::size_t>(sj)];
     ha.heartbeat.interval = params_.heartbeatInterval;
-    ha.heartbeat.recoverThreshold = params_.recoverThreshold;
     ha.checkpoint.interval = params_.checkpointInterval;
     if (!params_.faults.empty() && ha.checkpoint.confirmTimeout == 0) {
       ha.checkpoint.confirmTimeout = 1 * kSecond;
@@ -344,13 +340,11 @@ void Scenario::createCoordinators() {
 void Scenario::createLoadGenerators() {
   if (params_.failureFraction <= 0.0) return;
   loaded_machines_.clear();
-  const int numSubjobs =
-      (params_.numPes + params_.pesPerSubjob - 1) / params_.pesPerSubjob;
   if (params_.failurePlacement ==
       ScenarioParams::FailurePlacement::kAllButFirst) {
     // "on all primary machines except the first one in the chain".
-    for (int i = 1; i < numSubjobs; ++i) {
-      loaded_machines_.push_back(static_cast<MachineId>(i));
+    for (int i = 1; i < layout_.numSubjobs; ++i) {
+      loaded_machines_.push_back(layout_.primaryOf(i));
     }
   } else {
     for (SubjobId sj : params_.protectedSubjobs) {
@@ -414,13 +408,7 @@ void Scenario::warmup() {
   start();
   cluster_->sim().runUntil(cluster_->sim().now() + params_.warmup);
   sink().resetStats();
-  window_start_ = cluster_->sim().now();
-  traffic_baseline_ = cluster_->network().snapshot();
-  load_integral_baseline_.clear();
-  for (std::size_t m = 0; m < machine_count_; ++m) {
-    load_integral_baseline_.push_back(
-        cluster_->machine(static_cast<MachineId>(m)).loadIntegral());
-  }
+  openWindow();
 }
 
 void Scenario::startFailures() {
@@ -513,9 +501,12 @@ ScenarioResult Scenario::collect() {
   ScenarioResult result;
   const SimTime now = cluster_->sim().now();
   result.measuredSeconds = toSeconds(now - window_start_);
-  result.avgDelayMs = sink().delays().mean();
-  result.p99DelayMs = sink().delays().quantile(0.99);
-  result.maxDelayMs = sink().delays().max();
+  // mean() before quantile(): quantile sorts, and the mean sums in arrival
+  // order.
+  const SampleSet delays = sink().delays();
+  result.avgDelayMs = delays.mean();
+  result.p99DelayMs = delays.quantile(0.99);
+  result.maxDelayMs = delays.max();
   result.sinkReceived = sink().receivedCount();
   result.sourceGenerated = source().generatedCount();
   result.traffic = cluster_->network().snapshot() - traffic_baseline_;
@@ -524,10 +515,8 @@ ScenarioResult Scenario::collect() {
   // when no failures are injected).
   std::vector<MachineId> loadSample = loaded_machines_;
   if (loadSample.empty()) {
-    const int numSubjobs =
-        (params_.numPes + params_.pesPerSubjob - 1) / params_.pesPerSubjob;
-    for (int i = 1; i < numSubjobs; ++i) {
-      loadSample.push_back(static_cast<MachineId>(i));
+    for (int i = 1; i < layout_.numSubjobs; ++i) {
+      loadSample.push_back(layout_.primaryOf(i));
     }
   }
   double loadTotal = 0.0;

@@ -51,7 +51,6 @@ struct ScenarioParams {
   /// workload shape delta checkpointing (store.delta) exploits. 0 (default)
   /// keeps SyntheticLogic and bit-identical baseline runs.
   std::size_t stateKeyBytes = 0;
-  std::uint32_t payloadBytes = 100;
 
   // -- Workload ---------------------------------------------------------------
   double dataRatePerSec = 1000.0;
@@ -69,7 +68,6 @@ struct ScenarioParams {
   bool sharedSecondary = false;
   SimDuration checkpointInterval = 50 * kMillisecond;
   SimDuration heartbeatInterval = 100 * kMillisecond;
-  int recoverThreshold = 2;
   SimDuration failStopAfter = 10 * kSecond;
   CheckpointKind checkpointKind = CheckpointKind::kSweeping;
   /// Optional custom failure detector for every coordinator (defaults to
@@ -164,8 +162,9 @@ struct ScenarioParams {
 
   // -- Flow control (flow/) ----------------------------------------------------
   /// Credit-based flow control: ARQ send windows, end-to-end backpressure and
-  /// accounted shedding. Disabled by default -- a default FlowParams arms
-  /// nothing, so fault-free figure runs stay bit-identical.
+  /// accounted shedding, armed by any nonzero field. Disabled by default -- a
+  /// default FlowParams arms nothing, so fault-free figure runs stay
+  /// bit-identical.
   flow::FlowParams flow;
 
   // -- Fault injection --------------------------------------------------------
@@ -332,12 +331,14 @@ class Scenario {
   MembershipService* membership() { return membership_.get(); }
 
   /// Latent machines (membership): powered up, outside the roster at start.
-  const std::vector<MachineId>& latentMachines() const { return latent_machines_; }
+  const std::vector<MachineId>& latentMachines() const {
+    return layout_.latentMachines;
+  }
 
   /// The armed fault injector; null when params.faults is empty.
   FaultInjector* faultInjector() { return injector_.get(); }
 
-  /// The flow-control subsystem; null when params.flow.enabled is false.
+  /// The flow-control subsystem; null unless params.flow.armed().
   flow::FlowControl* flowControl() { return flow_.get(); }
 
   /// Every ground-truth spike window across all load generators, merged.
@@ -349,6 +350,8 @@ class Scenario {
  private:
   void createCoordinators();
   void createLoadGenerators();
+  /// Open the measurement window at the current simulated time.
+  void openWindow();
 
   ScenarioParams params_;
   std::unique_ptr<TraceRecorder> recorder_;  ///< Outlives the cluster below.
@@ -366,11 +369,7 @@ class Scenario {
   /// References the runtime; reset before runtime_ in ~Scenario.
   std::unique_ptr<flow::FlowControl> flow_;
   std::vector<MachineId> loaded_machines_;
-  std::vector<MachineId> standby_of_;  ///< Indexed by subjob id; kNoMachine if none.
-  std::vector<MachineId> spare_of_;
-  std::vector<MachineId> latent_machines_;
-  MachineId sink_machine_ = kNoMachine;
-  std::size_t machine_count_ = 0;
+  ScenarioLayout layout_;  ///< Set by build().
 
   // Measurement window.
   SimTime window_start_ = 0;

@@ -27,8 +27,8 @@
 // backlog must throttle it).
 //
 // Each pressure signal clears at half its threshold. Everything is off by
-// default: a default-constructed FlowParams arms nothing, and fault-free
-// runs stay bit-identical.
+// default: a FlowParams with every field 0 arms nothing, and fault-free runs
+// stay bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +45,6 @@ class Subjob;
 namespace flow {
 
 struct FlowParams {
-  bool enabled = false;  ///< Master switch; false arms nothing at all.
   /// ARQ send window, forwarded into ReliableParams by the scenario harness
   /// (see net/reliable.hpp).
   std::size_t sendWindow = 0;
@@ -57,6 +56,12 @@ struct FlowParams {
   /// instantiated mid-run included (0 = no shedding). Every shed element is
   /// accounted into a shed interval.
   std::size_t shedThreshold = 0;
+
+  /// Flow control is armed when any field is nonzero.
+  bool armed() const {
+    return sendWindow != 0 || pauseThreshold != 0 || outputPauseBacklog != 0 ||
+           shedThreshold != 0;
+  }
 };
 
 struct FlowStats {

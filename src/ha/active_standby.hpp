@@ -25,8 +25,6 @@ class ActiveStandbyCoordinator : public HaCoordinator {
   void setup() override;
   HaMode mode() const override { return HaMode::kActiveStandby; }
 
-  FailureDetector* secondaryDetector() { return detector2_.get(); }
-
  private:
   void installDetectors();
   void onCopyFailure(Replica which, SimTime detectedAt);

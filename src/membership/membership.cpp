@@ -4,6 +4,11 @@
 #include "trace/recorder.hpp"
 
 namespace streamha {
+namespace {
+
+constexpr std::size_t kBeaconBytes = 48;
+
+}  // namespace
 
 MembershipTelemetry& MembershipTelemetry::operator+=(
     const MembershipTelemetry& other) {
@@ -79,7 +84,7 @@ void MembershipService::scheduleBeacon(MachineId machine, SimDuration delay) {
     if (cluster_.machineUp(machine)) {
       telemetry_.beaconsSent += 1;
       cluster_.network().send(machine, params_.directory, MsgKind::kBeacon,
-                              params_.beaconBytes, 0,
+                              kBeaconBytes, 0,
                               [this, machine] { onBeaconDelivered(machine); });
     }
     scheduleBeacon(machine, params_.beaconInterval);
@@ -155,7 +160,7 @@ void MembershipService::retire(MachineId machine) {
   if (roster_.count(machine) == 0) return;
   // The departure announce must not get lost -- it rides the reliable path.
   cluster_.network().sendReliable(
-      machine, params_.directory, MsgKind::kBeacon, params_.beaconBytes, 0,
+      machine, params_.directory, MsgKind::kBeacon, kBeaconBytes, 0,
       [this, machine] {
         if (roster_.count(machine) == 0) return;
         recordEvent(TraceEventType::kMachineRetired, machine, 0);

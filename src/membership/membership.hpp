@@ -62,7 +62,6 @@ class MembershipService {
     /// Join -> draftable delay: a freshly admitted member is announced
     /// immediately but only declared warmed up (onWarmedUp) after this long.
     SimDuration warmUp = kSecond;
-    std::size_t beaconBytes = 48;
   };
 
   enum class LeaveReason : std::uint8_t {

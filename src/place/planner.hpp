@@ -72,7 +72,6 @@ class PlacementPlanner {
   void removePoolMachine(MachineId machine);
   /// Clears the warm-up gate set by addPoolMachine(machine, false).
   void setWarm(MachineId machine);
-  bool warming(MachineId machine) const { return warming_.contains(machine); }
 
   /// Records that `machine` hosts one more / one fewer copy, for occupancy
   /// balancing. Layout-time standby assignments call noteAssigned so runtime

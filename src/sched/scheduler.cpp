@@ -1,81 +1,23 @@
 #include "sched/scheduler.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "common/logging.hpp"
 
 namespace streamha {
+namespace {
 
-std::vector<double> estimateSubjobDemand(const JobSpec& spec,
-                                         double sourceRatePerSec) {
-  // Stream rates: the source stream carries the source rate; each PE's
-  // output rate is its total input rate times its selectivity. JobBuilder
-  // assigns ids in creation order, which is topological for its dataflows.
-  std::map<StreamId, double> streamRate;
-  streamRate[spec.sourceStream] = sourceRatePerSec;
-  std::vector<double> demand(spec.subjobCount(), 0.0);
-  for (const LogicalPeSpec& pe : spec.pes) {
-    double in = 0.0;
-    for (StreamId s : pe.inputStreams) {
-      const auto it = streamRate.find(s);
-      if (it != streamRate.end()) in += it->second;
-    }
-    for (StreamId s : pe.outputStreams) {
-      streamRate[s] = in * pe.selectivity;
-    }
-    const SubjobId sj = spec.subjobOf(pe.id);
-    if (sj >= 0) {
-      demand[static_cast<std::size_t>(sj)] += pe.workUs * in / 1e6;
-    }
-  }
-  return demand;
-}
+constexpr SimDuration kMonitorInterval = kSecond;  ///< Coarse load sampling.
+constexpr double kOverloadThreshold = 0.9;
 
-std::vector<MachineId> planPlacement(const JobSpec& spec,
-                                     double sourceRatePerSec,
-                                     const std::vector<MachineId>& machines,
-                                     double targetUtilization) {
-  assert(!machines.empty());
-  const std::vector<double> demand =
-      estimateSubjobDemand(spec, sourceRatePerSec);
-  std::vector<std::size_t> order(demand.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return demand[a] > demand[b];
-  });
-
-  std::vector<double> packed(machines.size(), 0.0);
-  std::vector<MachineId> placement(demand.size(), machines[0]);
-  for (std::size_t sj : order) {
-    std::size_t chosen = machines.size();
-    for (std::size_t m = 0; m < machines.size(); ++m) {
-      if (packed[m] + demand[sj] <= targetUtilization) {
-        chosen = m;
-        break;
-      }
-    }
-    if (chosen == machines.size()) {
-      // Nothing fits under the target: overflow onto the least-loaded.
-      chosen = static_cast<std::size_t>(
-          std::min_element(packed.begin(), packed.end()) - packed.begin());
-    }
-    packed[chosen] += demand[sj];
-    placement[sj] = machines[chosen];
-  }
-  return placement;
-}
-
-// ---------------------------------------------------------------------------
-// LoadBalancer
-// ---------------------------------------------------------------------------
+}  // namespace
 
 LoadBalancer::LoadBalancer(Runtime& runtime,
                            std::vector<MachineId> spareMachines, Params params)
     : rt_(runtime),
       spares_(std::move(spareMachines)),
       params_(params),
-      timer_(runtime.cluster().sim(), params.monitorInterval,
+      timer_(runtime.cluster().sim(), kMonitorInterval,
              [this] { poll(); }) {}
 
 LoadBalancer::~LoadBalancer() { stop(); }
@@ -121,7 +63,7 @@ void LoadBalancer::poll() {
     if (!inst->alive() || inst->suspended()) continue;
     const MachineId machine = inst->machine().id();
     const double load = windowedLoad(machine);
-    if (load >= params_.overloadThreshold) {
+    if (load >= kOverloadThreshold) {
       ++hot_streak_[machine];
     } else {
       hot_streak_[machine] = 0;

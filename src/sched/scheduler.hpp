@@ -9,15 +9,13 @@
 // However, the scheduler is not the right place to handle short yet frequent
 // transient failures."
 //
-// Two pieces:
-//  * planPlacement(): static first-fit-decreasing placement of subjobs onto
-//    machines by estimated CPU demand.
-//  * LoadBalancer: the slow reactive path -- monitors machine load at coarse
-//    granularity and, when overload *sustains*, migrates the hottest subjob
-//    to the least-loaded candidate machine with a stop-and-copy migration.
-//    Deliberately conservative (sustained-sample threshold + cooldown), as
-//    real schedulers are; the ablation bench shows why that loses against
-//    the Hybrid method on second-scale spikes.
+// LoadBalancer is the slow reactive path: it monitors machine load at coarse
+// granularity (one sample a second) and, when overload (load >= 0.9)
+// *sustains*, migrates the hottest subjob to the least-loaded candidate
+// machine with a stop-and-copy migration. Deliberately conservative
+// (sustained-sample threshold + cooldown), as real schedulers are; the
+// ablation bench shows why that loses against the Hybrid method on
+// second-scale spikes.
 #pragma once
 
 #include <cstdint>
@@ -31,27 +29,9 @@
 
 namespace streamha {
 
-/// Estimated CPU demand (fraction of one machine) of each subjob of `spec`
-/// at the given source rate: sum over its PEs of workUs x expected element
-/// rate, where each PE's rate is the source rate scaled by the product of
-/// upstream selectivities.
-std::vector<double> estimateSubjobDemand(const JobSpec& spec,
-                                         double sourceRatePerSec);
-
-/// First-fit-decreasing placement of subjobs onto `machines`, keeping each
-/// machine's packed demand at or below `targetUtilization` when possible
-/// (overflow falls back to the least-loaded machine). The returned vector is
-/// indexed by subjob id.
-std::vector<MachineId> planPlacement(const JobSpec& spec,
-                                     double sourceRatePerSec,
-                                     const std::vector<MachineId>& machines,
-                                     double targetUtilization = 0.7);
-
 class LoadBalancer {
  public:
   struct Params {
-    SimDuration monitorInterval = kSecond;  ///< Coarse load sampling.
-    double overloadThreshold = 0.9;
     int sustainedSamples = 4;    ///< Consecutive hot samples before acting.
     SimDuration cooldown = 10 * kSecond;  ///< Per-machine, between migrations.
   };
@@ -69,7 +49,6 @@ class LoadBalancer {
   void stop();
 
   std::uint64_t migrations() const { return migrations_; }
-  bool migrationInProgress() const { return migrating_; }
 
   /// Stop-and-copy migration of `instance` to `target`: quiesce, capture the
   /// full state (including input queues), transfer, apply, rewire, terminate

@@ -25,18 +25,13 @@ void PeriodicTimer::stop() {
   running_ = false;
 }
 
-void PeriodicTimer::setPeriod(SimDuration period) {
-  assert(period > 0);
-  period_ = period;
-}
-
 void PeriodicTimer::arm(SimDuration delay) {
   pending_ = sim_.schedule(delay, [this] { fire(); });
 }
 
 void PeriodicTimer::fire() {
   if (!running_) return;
-  // Re-arm before invoking so the callback may stop() or setPeriod().
+  // Re-arm before invoking so the callback may stop().
   arm(period_);
   fn_();
 }

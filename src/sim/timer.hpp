@@ -26,8 +26,6 @@ class PeriodicTimer {
   bool running() const { return running_; }
 
   SimDuration period() const { return period_; }
-  /// Change the period; takes effect from the next (re)arming.
-  void setPeriod(SimDuration period);
 
  private:
   void arm(SimDuration delay);

@@ -217,14 +217,6 @@ CompactionResult DeltaLog::compact(std::vector<std::uint64_t>* freed) {
   return result;
 }
 
-std::uint64_t DeltaLog::bytesSince(std::uint64_t sinceVersion) const {
-  std::uint64_t total = 0;
-  for (const auto& run : runs_) {
-    if (run.version > sinceVersion) total += run.bytes();
-  }
-  return total;
-}
-
 std::uint64_t DeltaLog::totalBytes() const {
   std::uint64_t total = 0;
   for (const auto& run : runs_) total += run.bytes();

@@ -125,10 +125,6 @@ class DeltaLog {
     return runs_.empty() ? 0 : runs_.back().version;
   }
 
-  /// Total bytes of runs strictly newer than `sinceVersion` (what a restore
-  /// of a copy already at `sinceVersion` would need to replay).
-  std::uint64_t bytesSince(std::uint64_t sinceVersion) const;
-
   /// FNV-1a over the run structure; equal logs hash equal. Used by the
   /// determinism tests.
   std::uint64_t fingerprint() const;

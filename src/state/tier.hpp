@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <map>
 
-#include "common/config.hpp"
 #include "common/types.hpp"
 
 namespace streamha {
@@ -29,9 +28,32 @@ enum class StorageTier : std::uint8_t { kDram = 0, kSsd = 1, kHdd = 2 };
 
 inline constexpr std::size_t kStorageTierCount = 3;
 
-/// One tier's simulated characteristics. Defaults come from the named presets
-/// in common/config.hpp so the bench, the store and the backend agree on what
-/// "SSD" means.
+/// Named storage-tier presets (DRAM / SSD / HDD): each tier has an access
+/// latency, a sequential bandwidth, an *effective* bandwidth for the small
+/// random writes a checkpoint stream produces, and a capacity. These are the
+/// single source for every storage constant in the tree: the tier specs below
+/// are built from them, and the store's disk penalty and the disk-store
+/// bench's penalty knobs reference them by name instead of repeating the
+/// numbers.
+struct TierPreset {
+  const char* name;
+  double latencyUs;                 ///< Per-access latency.
+  double bytesPerMicro;             ///< Sequential bandwidth (~MB/s).
+  double checkpointBytesPerMicro;   ///< Effective small-random-write bandwidth.
+  std::uint64_t capacityBytes;      ///< Default capacity budget for the tier.
+};
+
+inline constexpr TierPreset kTierDram{
+    "dram", 0.1, 10000.0, 10000.0, 512ull * 1024 * 1024};   // ~10 GB/s, 512 MB
+inline constexpr TierPreset kTierSsd{
+    "ssd", 100.0, 500.0, 250.0, 10ull * 1024 * 1024 * 1024};  // ~500 MB/s, 10 GB
+inline constexpr TierPreset kTierHdd{
+    "hdd", 10000.0, 100.0, 5.0,
+    ~std::uint64_t{0}};  // ~100 MB/s sequential, ~5 MB/s checkpoint-effective,
+                         // unbounded capacity.
+
+/// One tier's simulated characteristics. Defaults come from the presets
+/// above so the bench, the store and the backend agree on what "SSD" means.
 struct TierSpec {
   double latencyUs = 0.0;
   double bytesPerMicro = 0.0;      ///< Effective checkpoint-write bandwidth.

@@ -99,7 +99,6 @@ class KeyedStateLogic : public PeLogic {
   void reset() override;
 
   std::uint64_t processedCount() const { return count_; }
-  std::size_t keyCount() const { return key_count_; }
 
  private:
   double selectivity_;
@@ -209,7 +208,6 @@ class PeInstance {
 
   std::uint64_t processedCount() const { return processed_count_; }
   const std::map<StreamId, ElementSeq>& watermarks() const { return watermarks_; }
-  std::uint64_t checkpointVersion() const { return checkpoint_version_; }
   bool inFlight() const { return in_flight_; }
 
   /// Poke the processing loop (wired as the input queue arrival listener).

@@ -278,10 +278,6 @@ void InputQueue::subscribe(StreamId stream, ElementSeq expected) {
   expected_[stream] = expected;
 }
 
-bool InputQueue::subscribed(StreamId stream) const {
-  return expected_.count(stream) != 0;
-}
-
 int InputQueue::addUpstream(StreamId stream, AckFn ack, GapFn gap) {
   routes_.push_back(
       Route{next_route_id_++, stream, std::move(ack), std::move(gap)});
@@ -440,19 +436,6 @@ void InputQueue::resetStream(StreamId stream, ElementSeq watermark) {
   pending_.erase(std::remove_if(
                      pending_.begin(), pending_.end(),
                      [&](const Element& e) { return e.stream == stream; }),
-                 pending_.end());
-  if (pressure_pause_at_ != 0) updatePressure();
-}
-
-void InputQueue::fastForward(StreamId stream, ElementSeq watermark) {
-  auto it = expected_.find(stream);
-  if (it == expected_.end()) return;
-  it->second = std::max(it->second, watermark + 1);
-  pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
-                                [&](const Element& e) {
-                                  return e.stream == stream &&
-                                         e.seq <= watermark;
-                                }),
                  pending_.end());
   if (pressure_pause_at_ != 0) updatePressure();
 }

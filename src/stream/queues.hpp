@@ -223,7 +223,6 @@ class InputQueue final : public ElementReceiver {
   /// Register a logical stream this queue consumes. `expected` is the first
   /// sequence number to accept (watermark + 1).
   void subscribe(StreamId stream, ElementSeq expected = 1);
-  bool subscribed(StreamId stream) const;
 
   /// Register the route back to one physical upstream copy feeding
   /// `stream`: its ack path and, when loss recovery is on, its gap path.
@@ -309,26 +308,13 @@ class InputQueue final : public ElementReceiver {
   /// Next sequence number this queue will accept for `stream`.
   ElementSeq expected(StreamId stream) const;
 
-  /// Fast-forward to `watermark` (accept only seq > watermark from now on)
-  /// and drop buffered elements of `stream` with seq <= watermark. Used on
-  /// restore/rollback.
-  void fastForward(StreamId stream, ElementSeq watermark);
-
   /// Hard-reset `stream` to exactly `watermark`: expect watermark + 1 next
   /// (even if that REWINDS the dedup point) and drop every pending element of
   /// the stream. This is the restore semantic -- a PE restored to an older
   /// state must be able to re-accept the retransmission of elements it once
   /// saw, or they are deduplicated into a permanent gap. The ack record
-  /// follows the dedup point down to at most `watermark`. fastForward, in
-  /// contrast, only ever advances and is for merging a newer watermark into
-  /// a live queue.
+  /// follows the dedup point down to at most `watermark`.
   void resetStream(StreamId stream, ElementSeq watermark);
-
-  /// Drop everything buffered (fresh restore from checkpoint).
-  void clearPending() {
-    pending_.clear();
-    if (pressure_pause_at_ != 0) updatePressure();
-  }
 
   /// Snapshot the pending (received, unprocessed) elements, oldest first.
   std::vector<Element> snapshotPending() const {

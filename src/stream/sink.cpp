@@ -23,10 +23,15 @@ void Sink::drain() {
     ++received_;
     checksum_ = checksum_ * 1099511628211ULL + e.value;
     watermarks_[e.stream] = e.seq;
-    const double delay_ms = toMillis(sim_.now() - e.sourceTs);
-    delays_.add(delay_ms);
-    series_.emplace_back(sim_.now(), delay_ms);
+    series_.emplace_back(sim_.now(), toMillis(sim_.now() - e.sourceTs));
   }
+}
+
+SampleSet Sink::delays() const {
+  SampleSet out;
+  out.reserve(series_.size());
+  for (const auto& [when, delay] : series_) out.add(delay);
+  return out;
 }
 
 double Sink::meanDelayBetween(SimTime from, SimTime to) const {
@@ -42,7 +47,6 @@ double Sink::meanDelayBetween(SimTime from, SimTime to) const {
 }
 
 void Sink::resetStats() {
-  delays_ = SampleSet{};
   series_.clear();
   received_ = 0;
   checksum_ = 0;

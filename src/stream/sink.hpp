@@ -36,8 +36,8 @@ class Sink {
 
   std::uint64_t receivedCount() const { return received_; }
 
-  /// Delay samples in milliseconds.
-  const SampleSet& delays() const { return delays_; }
+  /// Delay samples in milliseconds, in arrival order, built from series().
+  SampleSet delays() const;
 
   /// Arrival-stamped delay series (simulated time, delay ms).
   const std::vector<std::pair<SimTime, double>>& series() const {
@@ -66,7 +66,6 @@ class Sink {
   PeriodicTimer ack_timer_;
   std::uint64_t received_ = 0;
   std::uint64_t checksum_ = 0;
-  SampleSet delays_;
   std::vector<std::pair<SimTime, double>> series_;
   std::map<StreamId, ElementSeq> watermarks_;
 };

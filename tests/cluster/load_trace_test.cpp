@@ -2,44 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
-
 namespace streamha {
 namespace {
-
-TEST(LoadTraceSampler, SamplesAtConfiguredInterval) {
-  Simulator sim;
-  Machine m(sim, 0, Rng(1));
-  LoadTraceSampler sampler(sim, m, 250 * kMillisecond);
-  sampler.start();
-  sim.runUntil(2 * kSecond);
-  EXPECT_EQ(sampler.samples().size(), 8u);
-}
-
-TEST(LoadTraceSampler, CapturesLoadChanges) {
-  Simulator sim;
-  Machine m(sim, 0, Rng(1));
-  LoadTraceSampler sampler(sim, m, 100 * kMillisecond);
-  sampler.start();
-  sim.runUntil(300 * kMillisecond);
-  m.setBackgroundLoad(0.98);
-  sim.runUntil(600 * kMillisecond);
-  const auto& s = sampler.samples();
-  ASSERT_EQ(s.size(), 6u);
-  EXPECT_LT(s[1], 0.5);
-  EXPECT_GT(s[4], 0.95);
-}
-
-TEST(LoadTraceSampler, StopHaltsSampling) {
-  Simulator sim;
-  Machine m(sim, 0, Rng(1));
-  LoadTraceSampler sampler(sim, m, 100 * kMillisecond);
-  sampler.start();
-  sim.runUntil(250 * kMillisecond);
-  sampler.stop();
-  sim.runUntil(kSecond);
-  EXPECT_EQ(sampler.samples().size(), 2u);
-}
 
 TEST(AnalyzeLoadTrace, NoSpikes) {
   std::vector<double> trace(100, 0.4);

@@ -54,9 +54,7 @@ TEST_F(MachineFixture, MidTaskBackgroundChangeRetimesRemainder) {
 }
 
 TEST_F(MachineFixture, MinShareFloorsTheSpeed) {
-  Machine::Params params;
-  params.minShare = 0.25;
-  Machine m(sim, 0, rng, params);
+  Machine m(sim, 0, rng);
   m.setBackgroundLoad(1.0);
   SimTime done_at = -1;
   m.submitData(1000.0, [&] { done_at = sim.now(); });
@@ -152,8 +150,7 @@ TEST_F(MachineFixture, InstantaneousLoadReflectsState) {
 }
 
 TEST_F(MachineFixture, RecentBusyFractionApproximatesWindowUtilization) {
-  Machine::Params params;
-  Machine m(sim, 0, rng, params);
+  Machine m(sim, 0, rng);
   // Busy for exactly half of the 200 ms window.
   sim.runUntil(kSecond);
   m.submitData(100.0 * kMillisecond, nullptr);

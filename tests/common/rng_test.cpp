@@ -111,19 +111,6 @@ TEST(Rng, ChanceProbability) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
 }
 
-TEST(Rng, WeightedIndexRespectsWeights) {
-  Rng rng(13);
-  std::vector<double> weights{1.0, 3.0};
-  int ones = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const std::size_t idx = rng.weightedIndex(weights);
-    ASSERT_LT(idx, 2u);
-    if (idx == 1) ++ones;
-  }
-  EXPECT_NEAR(static_cast<double>(ones) / n, 0.75, 0.02);
-}
-
 TEST(Rng, StableHashIsStableAndDiscriminates) {
   EXPECT_EQ(stableHash("source"), stableHash("source"));
   EXPECT_NE(stableHash("source"), stableHash("sink"));

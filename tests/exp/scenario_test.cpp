@@ -112,7 +112,6 @@ TEST(Scenario, LoadSheddingBoundsDelayAtTheCostOfLoss) {
   base.seed = 12;
 
   ScenarioParams shed = base;
-  shed.flow.enabled = true;
   shed.flow.shedThreshold = 100;
 
   Scenario a(base);

@@ -203,7 +203,6 @@ TEST(ControlLossBurstSweep, ExactlyOnceUnderMultiPartitionAndBurst) {
 TEST(SheddingChaosSweep, BoundedAccountedLossUnderLossPartitionAndCrash) {
   auto makeParams = [](std::uint64_t seed) {
     ScenarioParams p = chaosBaseParams(seed);
-    p.flow.enabled = true;
     p.flow.sendWindow = 64;
     p.flow.shedThreshold = 200;
     harness::ChaosProfile profile;
@@ -225,7 +224,6 @@ TEST(SheddingChaosSweep, BoundedAccountedLossUnderLossPartitionAndCrash) {
     harness::ChaosProfile profile;
     profile.restartCrashed = (seed % 3 == 0);
     ScenarioParams base = chaosBaseParams(seed);
-    base.flow.enabled = true;
     base.flow.sendWindow = 64;
     base.flow.shedThreshold = 200;
     const harness::ChaosPlan plan =

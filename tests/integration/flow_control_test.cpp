@@ -33,7 +33,6 @@ ScenarioParams overloadedParams() {
 
 TEST(FlowControlTest, BackpressurePausesAndResumesSource) {
   ScenarioParams p = overloadedParams();
-  p.flow.enabled = true;
   p.flow.sendWindow = 32;
   p.flow.pauseThreshold = 40;
 
@@ -72,7 +71,6 @@ TEST(FlowControlTest, CreditInheritanceAcrossSwitchoverAndRollback) {
   p.mode = HaMode::kHybrid;
   p.duration = 15 * kSecond;
   p.seed = 51;
-  p.flow.enabled = true;
   p.flow.sendWindow = 32;
   // Low enough that the stalled primary's input queue crosses it within the
   // detection window (~100-200 elements pile up before switchover).
@@ -137,7 +135,6 @@ TEST(FlowControlTest, BackpressureHoldsExactlyOnceAcrossHealedPartition) {
   // to the source, and nothing is ever dropped: after the heal the run is
   // exactly-once, at the price of a paused feed during the outage.
   ScenarioParams p = healedPartitionParams();
-  p.flow.enabled = true;
   p.flow.sendWindow = 64;
   p.flow.outputPauseBacklog = 32;
   p.flow.pauseThreshold = 50;
@@ -160,7 +157,6 @@ TEST(FlowControlTest, SheddingBoundsLossAcrossHealedPartition) {
   // queue, which sheds the excess -- bounded, accounted loss instead of
   // unbounded queues or a stalled source.
   ScenarioParams p = healedPartitionParams();
-  p.flow.enabled = true;
   p.flow.sendWindow = 64;
   p.flow.shedThreshold = 150;
 
@@ -181,7 +177,6 @@ TEST(FlowControlTest, SheddingBoundsLossAcrossHealedPartition) {
 
 TEST(FlowControlTest, AccountedSheddingTraceMatchesCounters) {
   ScenarioParams p = overloadedParams();
-  p.flow.enabled = true;
   p.flow.shedThreshold = 50;
   p.trace.enabled = true;
 
@@ -215,6 +210,26 @@ TEST(FlowControlTest, AccountedSheddingTraceMatchesCounters) {
   EXPECT_TRUE(oracle.ok) << oracle.summary();
 }
 
+TEST(FlowControlTest, ShedThresholdAloneArmsShedding) {
+  // A shed threshold is the whole request: with no other flow field set the
+  // overloaded chain still sheds, and every shed element is accounted.
+  ScenarioParams p = overloadedParams();
+  p.flow.shedThreshold = 50;
+
+  Scenario s(p);
+  s.build();
+  s.start();
+  s.run(p.duration);
+  s.drainQuiescent();
+  const ScenarioResult r = s.collect();
+
+  ASSERT_NE(s.flowControl(), nullptr);
+  EXPECT_GT(r.elementsShed, 0u);
+  EXPECT_EQ(r.flow.elementsShedAccounted, r.elementsShed);
+  // Shedding needs no send window, so a fault-free run arms no ARQ.
+  EXPECT_EQ(s.cluster().network().reliable(), nullptr);
+}
+
 TEST(FlowControlTest, SheddingCoversCopiesInstantiatedMidRun) {
   // Without pre-deployment the secondary is instantiated at switchover, long
   // after build(); the runtime's instance listener must hand it the shed
@@ -225,7 +240,6 @@ TEST(FlowControlTest, SheddingCoversCopiesInstantiatedMidRun) {
   p.predeploySecondary = false;
   p.duration = 8 * kSecond;
   p.seed = 91;
-  p.flow.enabled = true;
   p.flow.shedThreshold = 20;
 
   Scenario s(p);

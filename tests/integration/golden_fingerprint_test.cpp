@@ -691,7 +691,6 @@ ScenarioParams flowChaosParams(std::uint64_t seed, std::size_t sendWindow) {
   p.duration = 10 * kSecond;
   p.seed = seed;
   p.trace.enabled = true;
-  p.flow.enabled = true;
   p.flow.sendWindow = sendWindow;
   harness::ChaosProfile profile;
   profile.restartCrashed = true;
@@ -750,7 +749,6 @@ ScenarioParams backpressureParams() {
   p.duration = 5 * kSecond;
   p.seed = 11;
   p.trace.enabled = true;
-  p.flow.enabled = true;
   p.flow.sendWindow = 32;
   p.flow.pauseThreshold = 40;
   return p;

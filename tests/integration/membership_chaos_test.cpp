@@ -283,7 +283,6 @@ TEST(MembershipDrain, StandbyHostRetireDrainsUnderBackpressure) {
   p.dataRatePerSec = 1000.0;
   p.duration = 15 * kSecond;
   p.seed = 11;
-  p.flow.enabled = true;
   p.flow.sendWindow = 32;
   p.flow.pauseThreshold = 40;
   p.placement.enabled = true;

@@ -8,73 +8,6 @@
 namespace streamha {
 namespace {
 
-TEST(Placement, DemandEstimateFollowsSelectivity) {
-  // chain: pe0 (sel 0.5) -> pe1 -> pe2; source 1000/s, work 300us each.
-  JobBuilder b;
-  const LogicalPeId p0 = b.addPe("p0", 300.0, 0.5);
-  const LogicalPeId p1 = b.addPe("p1", 300.0, 1.0);
-  const LogicalPeId p2 = b.addPe("p2", 300.0, 1.0);
-  b.connectSource(p0);
-  b.connect(p0, p1);
-  b.connect(p1, p2);
-  b.connectSink(p2);
-  b.addSubjob({p0});
-  b.addSubjob({p1, p2});
-  const JobSpec spec = b.build();
-  const auto demand = estimateSubjobDemand(spec, 1000.0);
-  ASSERT_EQ(demand.size(), 2u);
-  EXPECT_NEAR(demand[0], 0.3, 1e-9);   // 1000/s x 300us.
-  EXPECT_NEAR(demand[1], 0.3, 1e-9);   // 2 PEs x 500/s x 300us.
-}
-
-TEST(Placement, FanOutDoublesDownstreamDemand) {
-  // ingest -> {a, b} -> merge: the merge PE sees both branches' rates.
-  JobBuilder b;
-  const LogicalPeId ingest = b.addPe("ingest", 100.0);
-  const LogicalPeId a = b.addPe("a", 100.0);
-  const LogicalPeId c = b.addPe("b", 100.0);
-  const LogicalPeId merge = b.addPe("merge", 100.0);
-  b.connectSource(ingest);
-  b.connect(ingest, a);
-  b.connect(ingest, c);
-  b.connect(a, merge);
-  b.connect(c, merge);
-  b.connectSink(merge);
-  b.addSubjob({ingest});
-  b.addSubjob({a});
-  b.addSubjob({c});
-  b.addSubjob({merge});
-  const auto demand = estimateSubjobDemand(b.build(), 1000.0);
-  ASSERT_EQ(demand.size(), 4u);
-  EXPECT_NEAR(demand[0], 0.1, 1e-9);
-  EXPECT_NEAR(demand[1], 0.1, 1e-9);
-  EXPECT_NEAR(demand[3], 0.2, 1e-9);  // Merge: 2000 el/s x 100 us.
-}
-
-TEST(Placement, FirstFitDecreasingPacksUnderTarget) {
-  const JobSpec spec = JobBuilder::chain(8, 2, 300.0);  // 4 x 0.6 demand.
-  const auto placement =
-      planPlacement(spec, 1000.0, {0, 1, 2, 3, 4, 5}, 0.7);
-  ASSERT_EQ(placement.size(), 4u);
-  // Each subjob demands 0.6; under a 0.7 target each gets its own machine.
-  std::set<MachineId> used(placement.begin(), placement.end());
-  EXPECT_EQ(used.size(), 4u);
-}
-
-TEST(Placement, PacksSmallSubjobsTogether) {
-  const JobSpec spec = JobBuilder::chain(4, 1, 100.0);  // 4 x 0.1 demand.
-  const auto placement = planPlacement(spec, 1000.0, {0, 1, 2, 3}, 0.7);
-  std::set<MachineId> used(placement.begin(), placement.end());
-  EXPECT_EQ(used.size(), 1u);  // All four fit on one machine.
-}
-
-TEST(Placement, OverflowFallsBackToLeastLoaded) {
-  const JobSpec spec = JobBuilder::chain(4, 2, 600.0);  // 2 x 1.2 demand.
-  const auto placement = planPlacement(spec, 1000.0, {0, 1}, 0.7);
-  // Nothing fits under 0.7; the two subjobs spread across both machines.
-  EXPECT_NE(placement[0], placement[1]);
-}
-
 struct BalancerFixture : ::testing::Test {
   Cluster::Params clusterParams() {
     Cluster::Params p;

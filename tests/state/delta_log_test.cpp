@@ -193,16 +193,6 @@ TEST_F(DeltaLogFixture, CompactionIsDeterministic) {
   EXPECT_EQ(a.totalBytes(), b.totalBytes());
 }
 
-TEST_F(DeltaLogFixture, BytesSinceCountsOnlyNewerRuns) {
-  DeltaLog log(0);
-  log.append(deltaAt(1));
-  log.append(deltaAt(2));
-  log.append(deltaAt(3));
-  EXPECT_EQ(log.bytesSince(3), 0u);
-  EXPECT_EQ(log.bytesSince(2), log.runs()[2].bytes());
-  EXPECT_EQ(log.bytesSince(0), log.totalBytes());
-}
-
 TEST_F(DeltaLogFixture, ShouldCompactHonorsBudget) {
   DeltaLog log(2);
   EXPECT_FALSE(log.shouldCompact());

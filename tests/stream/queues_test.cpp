@@ -403,26 +403,6 @@ TEST_F(QueueFixture, AcksFanOutToAllUpstreamsOfStream) {
   EXPECT_EQ(sent.size(), 3u);
 }
 
-TEST_F(QueueFixture, FastForwardDropsStaleAndAdvancesExpected) {
-  InputQueue iq;
-  iq.subscribe(7);
-  std::vector<Element> batch;
-  for (ElementSeq s = 1; s <= 4; ++s) {
-    Element e;
-    e.stream = 7;
-    e.seq = s;
-    batch.push_back(e);
-  }
-  iq.receive(batch);
-  iq.fastForward(7, 3);
-  EXPECT_EQ(iq.size(), 1u);
-  EXPECT_EQ(iq.front().seq, 4u);
-  EXPECT_EQ(iq.expected(7), 5u);
-  // Fast-forward never moves backwards.
-  iq.fastForward(7, 1);
-  EXPECT_EQ(iq.expected(7), 5u);
-}
-
 TEST_F(QueueFixture, LoadPendingAdvancesExpectedPastBacklog) {
   InputQueue iq;
   iq.subscribe(7);

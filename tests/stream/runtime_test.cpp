@@ -102,7 +102,7 @@ TEST_F(RuntimeFixture, ActivatingWireDeliversBacklog) {
     // Inputs are strictly in-order, so mirror a real activation: align the
     // consumer's watermark with the producer's trim point (a coordinator does
     // this by restoring checkpointed state) before opening the wire.
-    copy.firstPe().input().fastForward(wire->stream, wire->oq->trimmedUpTo());
+    copy.firstPe().input().resetStream(wire->stream, wire->oq->trimmedUpTo());
     wire->oq->setConnectionActive(wire->connId, true);
   }
   cluster->sim().runUntil(1100 * kMillisecond);
