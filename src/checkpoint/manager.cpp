@@ -1,5 +1,6 @@
 #include "checkpoint/manager.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <optional>
 
@@ -32,6 +33,63 @@ void recordCheckpointEvent(TraceRecorder* trace, TraceEventType type,
 }
 
 }  // namespace
+
+PeStateDelta encodeWrittenDelta(const DeltaBase* base, const PeLogic& logic,
+                                PeState captured, std::uint32_t chunkBytes) {
+  assert(chunkBytes > 0);
+  PeStateDelta delta;
+  delta.pe = captured.pe;
+  delta.version = captured.version;
+  delta.baseVersion = base != nullptr ? base->version : 0;
+  delta.chunkBytes = chunkBytes;
+  delta.processedWatermark = std::move(captured.processedWatermark);
+  delta.ports = std::move(captured.ports);
+  delta.inputBacklog = std::move(captured.inputBacklog);
+  delta.receivedWatermark = std::move(captured.receivedWatermark);
+
+  std::vector<std::uint32_t> candidates;
+  const std::size_t size = logic.writtenChunks(
+      base != nullptr ? base->mark : 0, chunkBytes, candidates);
+  delta.internalSize = size;
+  if (base == nullptr || base->internal.size() != size) {
+    candidates.clear();
+    for (std::size_t i = 0; i * chunkBytes < size; ++i) {
+      candidates.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  // Read each run of consecutive candidates at once, then ship the chunks
+  // that differ from the base, by encodeDelta's rule.
+  std::vector<std::uint8_t> run;
+  for (std::size_t i = 0; i < candidates.size();) {
+    std::size_t j = i + 1;
+    while (j < candidates.size() && candidates[j] == candidates[j - 1] + 1) {
+      ++j;
+    }
+    const std::size_t runBegin =
+        static_cast<std::size_t>(candidates[i]) * chunkBytes;
+    const std::size_t runEnd = std::min(
+        size, (static_cast<std::size_t>(candidates[j - 1]) + 1) * chunkBytes);
+    run.resize(runEnd - runBegin);
+    logic.readSerialized(runBegin, run);
+    for (; i < j; ++i) {
+      const std::size_t begin =
+          static_cast<std::size_t>(candidates[i]) * chunkBytes;
+      const std::size_t end = std::min(size, begin + chunkBytes);
+      const std::uint8_t* bytes = run.data() + (begin - runBegin);
+      if (base != nullptr && base->internal.size() >= end &&
+          std::equal(bytes, bytes + (end - begin),
+                     base->internal.begin() +
+                         static_cast<std::ptrdiff_t>(begin))) {
+        continue;
+      }
+      DeltaChunk chunk;
+      chunk.index = candidates[i];
+      chunk.bytes.assign(bytes, bytes + (end - begin));
+      delta.chunks.push_back(std::move(chunk));
+    }
+  }
+  return delta;
+}
 
 CheckpointManager::CheckpointManager(Simulator& sim, Network& net,
                                      Subjob& subjob, StateStore& store,
@@ -101,10 +159,16 @@ void CheckpointManager::checkpointPe(PeInstance& pe, std::function<void()> done,
   PeInstance* pePtr = &pe;
   pause_waiters_[pePtr] = [this, pePtr, started, token, barrier, ackEpoch,
                            done = std::move(done)] {
-    PeState state = pePtr->checkpoint(true, includesInputQueues());
+    // Delta mode does not serialize the PE: it reads the chunks written
+    // since the confirmed base, while the PE is still paused.
+    const bool delta = store_.deltaEnabled();
+    PeState state = pePtr->checkpoint(true, includesInputQueues(), !delta);
+    std::optional<DeltaAttempt> attempt;
+    if (delta) attempt = captureDelta(*pePtr, std::move(state));
     pePtr->resume();
     stats_.pauseMs.add(toMillis(sim_.now() - started));
-    shipPe(pePtr, std::move(state), started, token, done, barrier, ackEpoch);
+    shipPe(pePtr, std::move(state), std::move(attempt), started, token, done,
+           barrier, ackEpoch);
   };
   pe.pause(*this);
 }
@@ -154,35 +218,66 @@ void CheckpointManager::ship(std::uint64_t bytes, std::uint64_t elements,
   });
 }
 
+CheckpointManager::DeltaAttempt CheckpointManager::captureDelta(
+    PeInstance& pe, PeState captured) {
+  DeltaAttempt attempt;
+  const auto baseIt = delta_base_.find(pe.logicalId());
+  if (baseIt != delta_base_.end()) attempt.base = baseIt->second;
+  attempt.mark = pe.logic().markWrites();
+  // `captured` holds no internal state, so the full size adds the blob's.
+  const std::uint64_t queueBytes = captured.sizeBytes();
+  attempt.delta = std::make_shared<const PeStateDelta>(
+      encodeWrittenDelta(attempt.base.get(), pe.logic(), std::move(captured),
+                         store_.deltaParams().chunkBytes));
+  attempt.fullBytes = queueBytes + attempt.delta->internalSize;
+  return attempt;
+}
+
+void CheckpointManager::advanceDeltaBase(DeltaAttempt& attempt) {
+  const PeStateDelta& delta = *attempt.delta;
+  std::shared_ptr<DeltaBase>& shadow = delta_base_[delta.pe];
+  if (shadow != nullptr && shadow->version >= delta.version) return;
+  // Patch the attempt's own base in place when nothing else holds it. A
+  // newer attempt holds it too when this confirm comes after its
+  // confirm-timeout; that one's confirm still needs the base unpatched.
+  std::shared_ptr<DeltaBase> next = std::move(attempt.base);
+  shadow.reset();
+  if (next == nullptr) {
+    next = std::make_shared<DeltaBase>();
+  } else if (next.use_count() > 1) {
+    next = std::make_shared<DeltaBase>(*next);
+  }
+  applyDeltaChunks(next->internal, delta);
+  next->version = delta.version;
+  next->mark = attempt.mark;
+  shadow = std::move(next);
+}
+
 void CheckpointManager::shipPe(PeInstance* pe, PeState state,
+                               std::optional<DeltaAttempt> attempt,
                                SimTime startedAt, std::uint64_t token,
                                std::function<void()> done,
                                std::shared_ptr<AckBarrier> barrier,
                                std::uint64_t ackEpoch) {
   const SubjobId subjobId = subjob_.logicalId();
-  Acks acks = ackWatermarks(state);
+  Acks acks;
   std::uint64_t bytes = 0;
   std::uint64_t elements = 0;
   Land land;
-  // Delta mode: the shipped state, which becomes the next delta's base once
-  // the store confirms it.
-  std::optional<PeState> base;
-  if (store_.deltaEnabled()) {
-    // Diff against the last confirmed base; ship only the changed chunks.
-    const auto baseIt = delta_base_.find(pe->logicalId());
-    PeStateDelta delta =
-        encodeDelta(baseIt == delta_base_.end() ? nullptr : &baseIt->second,
-                    state, store_.deltaParams().chunkBytes);
-    const std::uint64_t fullBytes = state.sizeBytes();
-    // The simulated serialization CPU cost scales with the delta, not the
-    // full state: it models a keyed runtime that knows its dirty chunks from
-    // write tracking. The simulator itself finds them by diffing the blob.
+  if (attempt) {
+    // Ship only the chunks that changed since the last confirmed base. The
+    // simulated serialization CPU cost scales with the delta, not the full
+    // state: it models a keyed runtime that knows its dirty chunks from
+    // write tracking, which is how the simulator finds them too
+    // (PeLogic::writtenChunks).
+    const PeStateDelta& delta = *attempt->delta;
+    acks = ackWatermarks(delta);
     bytes = delta.sizeBytes();
     elements = delta.sizeElements();
     StateTelemetry& telemetry = store_.telemetry();
     telemetry.deltaShips += 1;
     telemetry.deltaShipBytes += bytes;
-    telemetry.deltaFullBytes += fullBytes;
+    telemetry.deltaFullBytes += attempt->fullBytes;
     telemetry.deltaChunksShipped += delta.chunks.size();
     if (net_.trace() != nullptr) {
       TraceEvent ev;
@@ -192,16 +287,16 @@ void CheckpointManager::shipPe(PeInstance* pe, PeState state,
       ev.peer = store_.machine().id();
       ev.subjob = subjobId;
       ev.value = bytes;
-      ev.aux = fullBytes;
+      ev.aux = attempt->fullBytes;
       net_.trace()->record(ev);
     }
     // A base miss never confirms; the confirm-timeout retires the attempt.
-    land = [this, subjobId, delta = std::move(delta)](
+    land = [this, subjobId, delta = attempt->delta](
                std::function<void()> onDurable) {
-      store_.storePeDelta(subjobId, delta, std::move(onDurable));
+      store_.storePeDelta(subjobId, *delta, std::move(onDurable));
     };
-    base = std::move(state);
   } else {
+    acks = ackWatermarks(state);
     bytes = state.sizeBytes();
     elements = state.sizeElements();
     land = [this, subjobId, state = std::move(state)](
@@ -213,16 +308,13 @@ void CheckpointManager::shipPe(PeInstance* pe, PeState state,
        startedAt, std::move(land),
        [this, pe, token, acks = std::move(acks), ackEpoch,
         barrier = std::move(barrier), done = std::move(done),
-        base = std::move(base)]() mutable {
+        attempt = std::move(attempt)]() mutable {
          // The confirmed state becomes the base the next delta is encoded
          // against. Advance even on a stale attempt token: a late confirm
          // still proves the store holds this version, which is what
          // un-sticks a shadow that fell behind after a timeout abandonment.
-         // Each copy of this closure owns its state and runs at most once.
-         if (base) {
-           PeState& shadow = delta_base_[base->pe];
-           if (shadow.version < base->version) shadow = std::move(*base);
-         }
+         // Each copy of this closure owns its attempt and runs at most once.
+         if (attempt) advanceDeltaBase(*attempt);
          // A confirm arriving after its confirm-timeout abandoned the
          // attempt finds a newer token (or none) and must leave it alone.
          if (!retireAttempt(pe, token)) stats_.staleConfirms += 1;

@@ -21,6 +21,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "checkpoint/store.hpp"
@@ -31,6 +32,25 @@
 #include "stream/subjob.hpp"
 
 namespace streamha {
+
+/// Delta mode: the base a PE's next delta is encoded against -- its
+/// serialized internal state at `version` -- and the write mark
+/// (PeLogic::markWrites) taken when that state was captured.
+struct DeltaBase {
+  std::uint64_t version = 0;
+  std::uint64_t mark = 0;
+  std::vector<std::uint8_t> internal;
+};
+
+/// encodeDelta for a PE whose internal state stays in its logic. `captured`
+/// is the rest of the state (PeInstance::checkpoint without the internal
+/// state); it moves into the delta. Reads from `logic` only the chunks
+/// written since `base->mark` -- every chunk when `base` is null (the empty
+/// base) or sized differently -- and ships those that differ from the base:
+/// exactly the chunks encodeDelta(base, next, chunkBytes) ships, with `next`
+/// the captured state holding the logic's serialize().
+PeStateDelta encodeWrittenDelta(const DeltaBase* base, const PeLogic& logic,
+                                PeState captured, std::uint32_t chunkBytes);
 
 class CheckpointManager : public CheckpointController {
  public:
@@ -146,10 +166,27 @@ class CheckpointManager : public CheckpointController {
   void ship(std::uint64_t bytes, std::uint64_t elements,
             std::uint64_t traceValue, SimTime startedAt, Land land,
             std::function<void()> confirmed);
-  /// Per-PE payload: the full state, or in delta mode the delta against the
-  /// last confirmed base. Its confirm advances that base, retires the attempt
-  /// token and releases the PE's acks.
-  void shipPe(PeInstance* pe, PeState state, SimTime startedAt,
+  /// Delta mode: one attempt's delta, read while its PE was paused, and what
+  /// its confirm needs to advance the base.
+  struct DeltaAttempt {
+    /// The base it was encoded against; null: the empty base.
+    std::shared_ptr<DeltaBase> base;
+    std::shared_ptr<const PeStateDelta> delta;
+    std::uint64_t mark = 0;       ///< The write mark of this capture.
+    std::uint64_t fullBytes = 0;  ///< The full state's PeState::sizeBytes().
+  };
+  /// Marks `pe`'s writes and encodes `captured` (no internal state) against
+  /// the PE's confirmed base.
+  DeltaAttempt captureDelta(PeInstance& pe, PeState captured);
+  /// The confirmed state becomes the next base: the attempt's base patched
+  /// with its delta, unless the base already holds this version or newer.
+  void advanceDeltaBase(DeltaAttempt& attempt);
+  /// Per-PE payload: the full `state`, or in delta mode `attempt`'s delta
+  /// against the last confirmed base (`state` went into it). Its confirm
+  /// advances that base, retires the attempt token and releases the PE's
+  /// acks.
+  void shipPe(PeInstance* pe, PeState state,
+              std::optional<DeltaAttempt> attempt, SimTime startedAt,
               std::uint64_t token, std::function<void()> done,
               std::shared_ptr<AckBarrier> barrier, std::uint64_t ackEpoch);
   /// Only the attempt that started a pipeline may retire its in-flight
@@ -162,10 +199,12 @@ class CheckpointManager : public CheckpointController {
   /// `ackEpoch` is current.
   void releaseAcks(PeInstance& pe, const Acks& acks, std::uint64_t ackEpoch,
                    AckBarrier* barrier);
-  /// The watermarks a durable checkpoint of `state` may ack: sweeping acks
-  /// the processed watermark; conventional variants may ack the received
-  /// one (their checkpoint persisted the input backlog too).
-  const Acks& ackWatermarks(const PeState& state) const {
+  /// The watermarks a durable checkpoint of `state` (a PeState or a
+  /// PeStateDelta) may ack: sweeping acks the processed watermark;
+  /// conventional variants may ack the received one (their checkpoint
+  /// persisted the input backlog too).
+  template <typename State>
+  const Acks& ackWatermarks(const State& state) const {
     return includesInputQueues() ? state.receivedWatermark
                                  : state.processedWatermark;
   }
@@ -175,8 +214,9 @@ class CheckpointManager : public CheckpointController {
   std::map<PeInstance*, std::function<void()>> pause_waiters_;
   /// Delta mode: the last state per PE whose ship the store confirmed -- the
   /// base the next delta is encoded against. Absent = ship a full-coverage
-  /// (base 0) delta.
-  std::map<LogicalPeId, PeState> delta_base_;
+  /// (base 0) delta. In-flight attempts share their base with this map; a
+  /// confirm patches a base in place only when nothing else holds it.
+  std::map<LogicalPeId, std::shared_ptr<DeltaBase>> delta_base_;
   /// In-flight pipeline per PE, tagged with its attempt token. A confirm (or
   /// confirm-timeout) may only erase the entry whose token it carries, so a
   /// late confirm from an abandoned attempt can never cancel a newer one.

@@ -133,7 +133,7 @@ void StateStore::storePeDelta(SubjobId subjob, const PeStateDelta& delta,
     applyDeltaInPlace(stored, delta);
     ++slot.version;
     ++telemetry_.deltaApplies;
-    applyToReplica(subjob, stored);
+    applyToReplica(subjob, stored, &delta);
     logApply(subjob, delta);
   }
   completeWrite(allocationKey(subjob, delta.pe, 0), delta.sizeBytes(),
@@ -261,11 +261,22 @@ std::uint64_t StateStore::restoreBytes(
 
 void StateStore::attachReplica(SubjobId subjob, Subjob* replica) {
   replicas_[subjob] = replica;
+  forgetReplicaLoads(subjob);
 }
 
-void StateStore::detachReplica(SubjobId subjob) { replicas_.erase(subjob); }
+void StateStore::detachReplica(SubjobId subjob) {
+  replicas_.erase(subjob);
+  forgetReplicaLoads(subjob);
+}
 
-void StateStore::applyToReplica(SubjobId subjob, const PeState& state) {
+void StateStore::forgetReplicaLoads(SubjobId subjob) {
+  std::erase_if(replica_loads_, [subjob](const auto& entry) {
+    return entry.first.first == subjob;
+  });
+}
+
+void StateStore::applyToReplica(SubjobId subjob, const PeState& state,
+                                const PeStateDelta* delta) {
   const auto it = replicas_.find(subjob);
   if (it == replicas_.end() || it->second == nullptr) return;
   Subjob* replica = it->second;
@@ -286,7 +297,15 @@ void StateStore::applyToReplica(SubjobId subjob, const PeState& state) {
     const auto it2 = state.processedWatermark.find(stream);
     if (it2 == state.processedWatermark.end() || it2->second < wm) return;
   }
-  pe->storeJobState(state);
+  // Patch only a replica that still holds what this store loaded at the
+  // delta's base; one that processed an element or loaded another state
+  // since (a switchover, a rollback) reloads in full.
+  ReplicaLoad& loaded = replica_loads_[{subjob, state.pe}];
+  const bool patch = delta != nullptr && loaded.version != 0 &&
+                     loaded.version == delta->baseVersion &&
+                     loaded.writes == pe->stateWrites();
+  pe->storeJobState(state, patch ? delta : nullptr);
+  loaded = ReplicaLoad{state.version, pe->stateWrites()};
 }
 
 }  // namespace streamha

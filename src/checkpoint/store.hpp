@@ -125,7 +125,13 @@ class StateStore {
   /// Adopt a fresh full state for one PE of `slot`: assign it, refresh the
   /// attached replica and, in delta mode, log it as a full-coverage run.
   void adopt(SubjobId subjob, SubjobState& slot, PeState state);
-  void applyToReplica(SubjobId subjob, const PeState& state);
+  /// Load `state` into the attached suspended replica. `delta`, when given,
+  /// produced `state` from the store's previous version of the PE: if the
+  /// replica still holds exactly what this store loaded at the delta's base,
+  /// its logic takes the delta's chunks as a patch instead of a full reload.
+  void applyToReplica(SubjobId subjob, const PeState& state,
+                      const PeStateDelta* delta = nullptr);
+  void forgetReplicaLoads(SubjobId subjob);
   void completeWrite(std::uint64_t allocation, std::uint64_t bytes,
                      std::function<void()> onDurable);
   /// Record an applied state in the delta log + tiered backend, compacting
@@ -142,6 +148,15 @@ class StateStore {
   TraceRecorder* trace_ = nullptr;
   std::map<SubjobId, SubjobState> latest_;
   std::map<SubjobId, Subjob*> replicas_;
+  /// What this store last loaded into each replica PE: the state's version
+  /// and the PE's stateWrites() right after. A replica whose count has not
+  /// moved since processed nothing and loaded nothing else. Cleared when the
+  /// subjob's replica is attached or detached.
+  struct ReplicaLoad {
+    std::uint64_t version = 0;
+    std::uint64_t writes = 0;
+  };
+  std::map<std::pair<SubjobId, LogicalPeId>, ReplicaLoad> replica_loads_;
   std::map<std::pair<SubjobId, LogicalPeId>, DeltaLog> logs_;
   std::unique_ptr<TieredBackend> backend_;
   StateTelemetry telemetry_;

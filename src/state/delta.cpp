@@ -140,17 +140,22 @@ PeStateDelta encodeDelta(const PeState* base, const PeState& next,
   return delta;
 }
 
-void applyDeltaInPlace(PeState& state, const PeStateDelta& delta) {
-  state.pe = delta.pe;
-  state.version = delta.version;
-  state.internal.resize(delta.internalSize);
+void applyDeltaChunks(std::vector<std::uint8_t>& internal,
+                      const PeStateDelta& delta) {
+  internal.resize(delta.internalSize);
   for (const auto& chunk : delta.chunks) {
     const std::size_t begin =
         static_cast<std::size_t>(chunk.index) * delta.chunkBytes;
-    assert(begin + chunk.bytes.size() <= state.internal.size());
+    assert(begin + chunk.bytes.size() <= internal.size());
     std::copy(chunk.bytes.begin(), chunk.bytes.end(),
-              state.internal.begin() + begin);
+              internal.begin() + static_cast<std::ptrdiff_t>(begin));
   }
+}
+
+void applyDeltaInPlace(PeState& state, const PeStateDelta& delta) {
+  state.pe = delta.pe;
+  state.version = delta.version;
+  applyDeltaChunks(state.internal, delta);
   state.processedWatermark = delta.processedWatermark;
   state.ports = delta.ports;
   state.inputBacklog = delta.inputBacklog;

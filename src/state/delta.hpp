@@ -69,12 +69,18 @@ struct PeStateDelta {
 PeStateDelta encodeDelta(const PeState* base, const PeState& next,
                          std::uint32_t chunkBytes);
 
-/// Advance `state` to `delta.version` in place: resize the internal blob to
-/// `delta.internalSize` (growth is zero-filled), overwrite the shipped chunks
-/// and replace the queue/watermark bookkeeping. `state.version` must equal
-/// `delta.baseVersion`; the caller checks. A delta against the empty base
-/// (baseVersion 0) applies to a default-constructed PeState.
+/// Advance `state` to `delta.version` in place: apply the delta's chunks to
+/// `state.internal` (applyDeltaChunks) and replace the queue/watermark
+/// bookkeeping. `state.version` must equal `delta.baseVersion`; the caller
+/// checks. A delta against the empty base (baseVersion 0) applies to a
+/// default-constructed PeState.
 void applyDeltaInPlace(PeState& state, const PeStateDelta& delta);
+
+/// The internal-state half of applyDeltaInPlace: resize `internal` to
+/// `delta.internalSize` (growth is zero-filled) and overwrite the shipped
+/// chunks.
+void applyDeltaChunks(std::vector<std::uint8_t>& internal,
+                      const PeStateDelta& delta);
 
 /// Copying form of applyDeltaInPlace: returns `base` advanced by `delta` and
 /// leaves `base` untouched.

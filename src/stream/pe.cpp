@@ -7,6 +7,29 @@
 namespace streamha {
 
 // ---------------------------------------------------------------------------
+// PeLogic
+// ---------------------------------------------------------------------------
+
+std::size_t PeLogic::writtenChunks(std::uint64_t /*mark*/,
+                                   std::uint32_t chunkBytes,
+                                   std::vector<std::uint32_t>& out) const {
+  const std::size_t size = serialize().size();
+  const std::size_t count = (size + chunkBytes - 1) / chunkBytes;
+  for (std::size_t i = 0; i < count; ++i) {
+    out.push_back(static_cast<std::uint32_t>(i));
+  }
+  return size;
+}
+
+void PeLogic::readSerialized(std::size_t offset,
+                             std::span<std::uint8_t> out) const {
+  const std::vector<std::uint8_t> bytes = serialize();
+  assert(offset + out.size() <= bytes.size());
+  std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(offset), out.size(),
+              out.begin());
+}
+
+// ---------------------------------------------------------------------------
 // SyntheticLogic
 // ---------------------------------------------------------------------------
 
@@ -81,6 +104,7 @@ void KeyedStateLogic::process(const Element& in, std::vector<Emit>& out) {
     state_[offset + i] =
         static_cast<std::uint8_t>(((checksum_ >> (8 * (i % 8))) ^ i) & 0xFF);
   }
+  noteWritten(key, key);
   carry_ += selectivity_;
   while (carry_ >= 1.0) {
     carry_ -= 1.0;
@@ -91,26 +115,42 @@ void KeyedStateLogic::process(const Element& in, std::vector<Emit>& out) {
   }
 }
 
+void KeyedStateLogic::writeHeader(std::uint8_t* out) const {
+  std::memcpy(out, &count_, 8);
+  std::memcpy(out + 8, &checksum_, 8);
+  std::memcpy(out + 16, &carry_, 8);
+}
+
+void KeyedStateLogic::readHeader(const std::uint8_t* in) {
+  std::memcpy(&count_, in, 8);
+  std::memcpy(&checksum_, in + 8, 8);
+  std::memcpy(&carry_, in + 16, 8);
+}
+
+void KeyedStateLogic::noteWritten(std::size_t first, std::size_t last) {
+  if (written_.empty()) return;
+  std::fill(written_.begin() + static_cast<std::ptrdiff_t>(first),
+            written_.begin() + static_cast<std::ptrdiff_t>(last) + 1,
+            write_epoch_);
+}
+
 std::vector<std::uint8_t> KeyedStateLogic::serialize() const {
   // Reserve and append the body: it is hundreds of KB, so zero-filling it
   // before the copy would touch every byte twice.
   std::vector<std::uint8_t> bytes;
-  bytes.reserve(24 + state_.size());
-  bytes.resize(24);
-  std::memcpy(bytes.data(), &count_, 8);
-  std::memcpy(bytes.data() + 8, &checksum_, 8);
-  std::memcpy(bytes.data() + 16, &carry_, 8);
+  bytes.reserve(kHeaderBytes + state_.size());
+  bytes.resize(kHeaderBytes);
+  writeHeader(bytes.data());
   bytes.insert(bytes.end(), state_.begin(), state_.end());
   return bytes;
 }
 
 void KeyedStateLogic::deserialize(const std::vector<std::uint8_t>& bytes) {
-  assert(bytes.size() >= 24);
-  std::memcpy(&count_, bytes.data(), 8);
-  std::memcpy(&checksum_, bytes.data() + 8, 8);
-  std::memcpy(&carry_, bytes.data() + 16, 8);
-  const std::size_t body = std::min(bytes.size() - 24, state_.size());
-  std::memcpy(state_.data(), bytes.data() + 24, body);
+  assert(bytes.size() >= kHeaderBytes);
+  readHeader(bytes.data());
+  const std::size_t body = std::min(bytes.size() - kHeaderBytes, state_.size());
+  std::memcpy(state_.data(), bytes.data() + kHeaderBytes, body);
+  noteWritten(0, key_count_ - 1);
 }
 
 void KeyedStateLogic::reset() {
@@ -118,6 +158,74 @@ void KeyedStateLogic::reset() {
   checksum_ = 0;
   carry_ = 0.0;
   std::fill(state_.begin(), state_.end(), 0);
+  noteWritten(0, key_count_ - 1);
+}
+
+std::uint64_t KeyedStateLogic::markWrites() {
+  if (written_.empty()) written_.assign(key_count_, 0);
+  return write_epoch_++;
+}
+
+std::size_t KeyedStateLogic::writtenChunks(
+    std::uint64_t mark, std::uint32_t chunkBytes,
+    std::vector<std::uint32_t>& out) const {
+  // The header changes with every element, so chunk 0 is always listed.
+  // Without tracking yet, every key counts as written.
+  out.push_back(0);
+  std::size_t next = 1;  // The first chunk not listed yet.
+  for (std::size_t key = 0; key < key_count_; ++key) {
+    if (!written_.empty() && written_[key] <= mark) continue;
+    const std::size_t begin = kHeaderBytes + key * key_bytes_;
+    const std::size_t last = (begin + key_bytes_ - 1) / chunkBytes;
+    for (std::size_t chunk = std::max(next, begin / chunkBytes);
+         chunk <= last; ++chunk) {
+      out.push_back(static_cast<std::uint32_t>(chunk));
+    }
+    next = std::max(next, last + 1);
+  }
+  return kHeaderBytes + state_.size();
+}
+
+void KeyedStateLogic::readSerialized(std::size_t offset,
+                                     std::span<std::uint8_t> out) const {
+  assert(offset + out.size() <= kHeaderBytes + state_.size());
+  std::size_t done = 0;
+  if (offset < kHeaderBytes) {
+    std::uint8_t header[kHeaderBytes];
+    writeHeader(header);
+    done = std::min(out.size(), kHeaderBytes - offset);
+    std::memcpy(out.data(), header + offset, done);
+  }
+  if (done < out.size()) {
+    std::memcpy(out.data() + done,
+                state_.data() + (offset + done - kHeaderBytes),
+                out.size() - done);
+  }
+}
+
+bool KeyedStateLogic::patchSerialized(const PeStateDelta& delta) {
+  if (delta.internalSize != kHeaderBytes + state_.size()) return false;
+  std::uint8_t header[kHeaderBytes];
+  writeHeader(header);
+  for (const DeltaChunk& chunk : delta.chunks) {
+    const std::size_t begin =
+        static_cast<std::size_t>(chunk.index) * delta.chunkBytes;
+    const std::size_t end = begin + chunk.bytes.size();
+    assert(end <= delta.internalSize);
+    if (begin < kHeaderBytes) {
+      std::memcpy(header + begin, chunk.bytes.data(),
+                  std::min(end, kHeaderBytes) - begin);
+    }
+    if (end > kHeaderBytes) {
+      const std::size_t from = std::max(begin, kHeaderBytes);
+      std::memcpy(state_.data() + (from - kHeaderBytes),
+                  chunk.bytes.data() + (from - begin), end - from);
+      noteWritten((from - kHeaderBytes) / key_bytes_,
+                  (end - 1 - kHeaderBytes) / key_bytes_);
+    }
+  }
+  readHeader(header);
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -183,6 +291,7 @@ void PeInstance::onProcessed(std::uint64_t epoch) {
     logic_->process(e, scratch_emits_);
     watermarks_[e.stream] = e.seq;
     ++processed_count_;
+    ++state_writes_;
     for (const auto& em : scratch_emits_) {
       const auto port = static_cast<std::size_t>(em.port);
       assert(port < outputs_.size());
@@ -226,19 +335,20 @@ void PeInstance::cancelPause(const CheckpointController& controller) {
   maybeSchedule();
 }
 
-PeState PeInstance::checkpoint(bool includeOutputQueues,
-                               bool includeInputQueue) const {
-  PeState state = peekState(includeOutputQueues, includeInputQueue);
+PeState PeInstance::checkpoint(bool includeOutputQueues, bool includeInputQueue,
+                               bool includeInternal) const {
+  PeState state =
+      peekState(includeOutputQueues, includeInputQueue, includeInternal);
   state.version = ++const_cast<PeInstance*>(this)->checkpoint_version_;
   return state;
 }
 
-PeState PeInstance::peekState(bool includeOutputQueues,
-                              bool includeInputQueue) const {
+PeState PeInstance::peekState(bool includeOutputQueues, bool includeInputQueue,
+                              bool includeInternal) const {
   PeState state;
   state.pe = params_.logicalId;
   state.version = checkpoint_version_;
-  state.internal = logic_->serialize();
+  if (includeInternal) state.internal = logic_->serialize();
   state.processedWatermark = watermarks_;
   if (includeOutputQueues) {
     for (const auto& out : outputs_) {
@@ -261,7 +371,8 @@ PeState PeInstance::peekState(bool includeOutputQueues,
   return state;
 }
 
-void PeInstance::storeJobState(const PeState& state) {
+void PeInstance::storeJobState(const PeState& state,
+                               const PeStateDelta* patch) {
   assert(state.pe == params_.logicalId);
   ++epoch_;  // Invalidate any in-flight processing completion.
   in_flight_ = false;
@@ -269,7 +380,10 @@ void PeInstance::storeJobState(const PeState& state) {
   // promotion this instance's own checkpoints must out-version everything the
   // old primary shipped, or the store would reject them as stale.
   checkpoint_version_ = std::max(checkpoint_version_, state.version);
-  logic_->deserialize(state.internal);
+  if (patch == nullptr || !logic_->patchSerialized(*patch)) {
+    logic_->deserialize(state.internal);
+  }
+  ++state_writes_;
   watermarks_ = state.processedWatermark;
   for (const auto& port : state.ports) {
     for (auto& out : outputs_) {

@@ -18,6 +18,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "cluster/machine.hpp"
 #include "common/types.hpp"
 #include "net/network.hpp"
+#include "state/delta.hpp"
 #include "stream/queues.hpp"
 
 namespace streamha {
@@ -54,6 +56,33 @@ class PeLogic {
 
   /// Reset to the initial (empty) state.
   virtual void reset() = 0;
+
+  // -- Write tracking (delta checkpoints) -------------------------------------
+  // The delta pipeline reads the state through these instead of serialize():
+  // it reads and compares only the chunks written since its base's mark. The
+  // defaults track nothing: every chunk counts as written, a read slices one
+  // serialize(), and a patch is declined.
+
+  /// Take a mark when a checkpoint captures the state; writtenChunks() takes
+  /// it back to mean "since that capture".
+  virtual std::uint64_t markWrites() { return 0; }
+
+  /// Appends to `out`, ascending, the index of every `chunkBytes` chunk of
+  /// serialize()'s output that may have been written since `mark`, and
+  /// returns the size of that output.
+  virtual std::size_t writtenChunks(std::uint64_t mark,
+                                    std::uint32_t chunkBytes,
+                                    std::vector<std::uint32_t>& out) const;
+
+  /// Copies `out.size()` bytes of serialize()'s output, from `offset` on.
+  virtual void readSerialized(std::size_t offset,
+                              std::span<std::uint8_t> out) const;
+
+  /// Overwrites the delta's chunks in the live state, which must hold the
+  /// delta's base, so that it ends as deserialize() of the patched blob would
+  /// leave it. Returns false, changing nothing, when the caller has to
+  /// deserialize the whole blob instead.
+  virtual bool patchSerialized(const PeStateDelta& /*delta*/) { return false; }
 };
 
 /// Built-in logic with tunable selectivity and state size; used by the
@@ -88,6 +117,12 @@ class SyntheticLogic : public PeLogic {
 /// (state/delta.hpp) is built for. SyntheticLogic, by contrast, derives its
 /// whole body from the running checksum, so every checkpoint rewrites every
 /// byte and deltas degenerate to full copies.
+///
+/// It tracks its writes: each key carries the epoch of its last write, so a
+/// delta checkpoint reads the header chunk and the chunks of the keys written
+/// since its base, and a replica that still holds a delta's base takes the
+/// delta's chunks as a patch. The epochs are allocated at the first mark, so
+/// a copy that is never checkpointed in delta mode (a replica) pays nothing.
 class KeyedStateLogic : public PeLogic {
  public:
   KeyedStateLogic(double selectivity, std::size_t stateBytes,
@@ -98,9 +133,23 @@ class KeyedStateLogic : public PeLogic {
   void deserialize(const std::vector<std::uint8_t>& bytes) override;
   void reset() override;
 
+  std::uint64_t markWrites() override;
+  std::size_t writtenChunks(std::uint64_t mark, std::uint32_t chunkBytes,
+                            std::vector<std::uint32_t>& out) const override;
+  void readSerialized(std::size_t offset,
+                      std::span<std::uint8_t> out) const override;
+  bool patchSerialized(const PeStateDelta& delta) override;
+
   std::uint64_t processedCount() const { return count_; }
 
  private:
+  /// count, checksum and carry precede the key regions.
+  static constexpr std::size_t kHeaderBytes = 24;
+  void writeHeader(std::uint8_t* out) const;
+  void readHeader(const std::uint8_t* in);
+  /// Records a write of keys [first, last].
+  void noteWritten(std::size_t first, std::size_t last);
+
   double selectivity_;
   std::size_t key_bytes_;
   std::size_t key_count_;
@@ -108,6 +157,10 @@ class KeyedStateLogic : public PeLogic {
   std::uint64_t count_ = 0;
   std::uint64_t checksum_ = 0;
   double carry_ = 0.0;
+  /// Per key, the write epoch of its last write; empty until the first mark.
+  /// markWrites() returns the current epoch and starts the next one.
+  std::vector<std::uint64_t> written_;
+  std::uint64_t write_epoch_ = 0;
 };
 
 /// Callback interface handed to PeInstance::pause(); the paper's Checkpoint
@@ -171,21 +224,29 @@ class PeInstance {
   void cancelPause(const CheckpointController& controller);
 
   /// Capture checkpoint state. Output/input queue inclusion depends on the
-  /// checkpointing variant (sweeping excludes input queues).
-  PeState checkpoint(bool includeOutputQueues, bool includeInputQueue) const;
+  /// checkpointing variant (sweeping excludes input queues). Without
+  /// `includeInternal` the logic is not serialized and `internal` stays
+  /// empty: a delta checkpoint reads the logic's written chunks instead.
+  PeState checkpoint(bool includeOutputQueues, bool includeInputQueue,
+                     bool includeInternal = true) const;
 
   /// Like checkpoint(), but read-only: the version is NOT bumped (the state
   /// carries the current checkpoint version). Used by the delta-aware
   /// rollback restore to learn what the recovering primary already holds
   /// without perturbing the version sequence.
-  PeState peekState(bool includeOutputQueues, bool includeInputQueue) const;
+  PeState peekState(bool includeOutputQueues, bool includeInputQueue,
+                    bool includeInternal = true) const;
 
   /// Overwrite state from a checkpoint or state-read ("Our PE implementation
   /// has an interface named storeJobState(jobState) to overwrite the old
   /// state with the new one."). Resets the input streams (dedup point and
   /// ack record) to the restored watermarks and restores output queues;
-  /// stale pending input at or below the watermark is dropped.
-  void storeJobState(const PeState& state);
+  /// stale pending input at or below the watermark is dropped. `patch`, when
+  /// given, is the delta that produced `state` from the base this PE holds
+  /// (the caller checks): the logic patches its chunks, or declines and
+  /// deserializes `state.internal` as without it.
+  void storeJobState(const PeState& state,
+                     const PeStateDelta* patch = nullptr);
 
   // -- Standby suspension -----------------------------------------------------
 
@@ -207,6 +268,9 @@ class PeInstance {
   // -- Introspection ----------------------------------------------------------
 
   std::uint64_t processedCount() const { return processed_count_; }
+  /// Counts the writes to the logic's state: processed elements and
+  /// storeJobState loads. Equal counts mean nothing changed the state.
+  std::uint64_t stateWrites() const { return state_writes_; }
   const std::map<StreamId, ElementSeq>& watermarks() const { return watermarks_; }
   bool inFlight() const { return in_flight_; }
 
@@ -241,6 +305,7 @@ class PeInstance {
   AckPolicy ack_policy_ = AckPolicy::kOnProcess;
   std::map<StreamId, ElementSeq> watermarks_;      ///< Processed, per stream.
   std::uint64_t processed_count_ = 0;
+  std::uint64_t state_writes_ = 0;
   std::uint64_t checkpoint_version_ = 0;
   std::vector<PeLogic::Emit> scratch_emits_;
 };

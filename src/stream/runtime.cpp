@@ -258,10 +258,11 @@ void Runtime::createWire(const Wire& plan, WireOpts opts) {
       plan.oq->addConnection(dstMachine, opts.active, opts.gatesTrim, *iq);
   Network* net = &cluster_.network();
   OutputQueue* oq = plan.oq;
-  InputQueue::AckFn ack = [net, srcMachine, dstMachine, oq, connId](
+  const AckRoute* route = &ack_routes_.emplace_back(AckRoute{oq, connId});
+  InputQueue::AckFn ack = [net, srcMachine, dstMachine, route](
                               StreamId, ElementSeq upTo) {
     net->send(dstMachine, srcMachine, MsgKind::kAck, kAckBytes, 0,
-              [oq, connId, upTo] { oq->onAck(connId, upTo); });
+              [route, upTo] { route->oq->onAck(route->connId, upTo); });
   };
   InputQueue::GapFn gap;
   if (loss_recovery_) {

@@ -21,6 +21,7 @@
 // the load balancer.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -189,6 +190,15 @@ class Runtime {
   std::unique_ptr<Sink> sink_;
   std::vector<std::unique_ptr<Subjob>> instances_;
   std::vector<std::unique_ptr<Wire>> wires_;
+  /// Where each wire's acks land. An ack's closure holds a pointer to its
+  /// record plus the watermark, 16 bytes, which fits std::function's inline
+  /// buffer. Grow-only: an ack in flight after its wire is removed still
+  /// finds its queue, which ignores the unknown connection id.
+  struct AckRoute {
+    OutputQueue* oq = nullptr;
+    int connId = 0;
+  };
+  std::deque<AckRoute> ack_routes_;
   std::unique_ptr<PeriodicTimer> retransmit_timer_;
   InstanceListener instance_listener_;
 };
